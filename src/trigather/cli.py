@@ -7,10 +7,8 @@ Exit codes are a stable contract: 0 success, 1 verification failure,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -68,62 +66,63 @@ class VerificationSummary:
         return counts
 
 
-def _verify_chunk(args: tuple) -> tuple[list, list]:
-    """Worker: run one chunk of configurations, return records and failure traces."""
-    algorithm, indexed, max_steps = args
-    decide, visibility = ALGORITHMS[algorithm]
-    records = []
-    failure_traces = []
-    for idx, robots in indexed:
-        trace = engine.run(frozenset(robots), decide, visibility, max_steps)
-        records.append(
-            (idx, robots, trace.outcome, len(trace.steps), trace.min_connected)
-        )
-        if trace.outcome.kind != engine.OutcomeKind.GATHERED:
-            failure_traces.append((idx, engine.trace_to_lines(trace, algorithm)))
-    return records, failure_traces
-
-
 def verify_sweep(
     n: int,
     algorithm: str,
     max_steps: int = engine.DEFAULT_MAX_STEPS,
-    jobs: int | None = None,
 ) -> tuple[VerificationSummary, list[tuple[int, list[str]]]]:
     """Run an algorithm over every enumerated configuration of size n.
 
-    Results are merged in canonical enumeration order regardless of the
-    number of worker processes, so output is independent of scheduling.
+    Valid because decisions depend only on the robot-relative view and every
+    connected successor of an n-shape is an enumerated n-shape: each shape is
+    stepped once, and steps-to-gather is its depth below a quiescent gathered
+    shape in the successor graph.  Every other start fails and is re-run
+    with :func:`engine.run` for its outcome and trace.  Results are in
+    canonical enumeration order.
     """
     if algorithm not in ALGORITHMS:
         raise KeyError(f"unknown algorithm {algorithm!r}")
-    jobs = jobs or os.cpu_count() or 1
+    if max_steps < 1:
+        raise ValueError("max_steps must be positive")
+    decide, visibility = ALGORITHMS[algorithm]
     started = time.perf_counter()
-    indexed = [
-        (idx, tuple(sorted(cfg)))
-        for idx, cfg in enumerate(configs.enumerate_connected(n))
-    ]
-    if jobs <= 1 or len(indexed) < 64:
-        chunk_outputs = [_verify_chunk((algorithm, indexed, max_steps))]
-    else:
-        size = (len(indexed) + jobs - 1) // jobs
-        chunks = [
-            (algorithm, indexed[i : i + size], max_steps)
-            for i in range(0, len(indexed), size)
-        ]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunk_outputs = list(pool.map(_verify_chunk, chunks))
+    shapes = configs.enumerate_connected(n)
+    index = {cfg: idx for idx, cfg in enumerate(shapes)}
+    predecessors: list[list[int]] = [[] for _ in shapes]
+    queue: list[int] = []  # quiescent gathered shapes, then breadth-first
+    for idx, cfg in enumerate(shapes):
+        decisions = engine.compute_decisions(cfg, decide, visibility)
+        if all(m is None for m in decisions.values()):
+            if configs.is_gathered(cfg):
+                queue.append(idx)
+            continue
+        successor = engine.apply_decisions(cfg, decisions)
+        if not isinstance(successor, engine.CollisionReport):
+            nxt = index.get(configs.canonicalize(successor))
+            if nxt is not None:
+                predecessors[nxt].append(idx)
 
+    # Breadth-first over reverse edges.  Each shape has one successor, so
+    # each is reached at most once, and cycles are never reached.
+    depth = dict.fromkeys(queue, 0)
+    for idx in queue:
+        for prev in predecessors[idx]:
+            depth[prev] = depth[idx] + 1
+            queue.append(prev)
+
+    gathered_outcome = engine.Outcome(engine.OutcomeKind.GATHERED)
     results = []
     failure_traces = []
-    for records, failures in chunk_outputs:
-        results.extend(
-            ConfigResult(idx, robots, outcome, steps, ok)
-            for idx, robots, outcome, steps, ok in records
+    for idx, cfg in enumerate(shapes):
+        robots = tuple(sorted(cfg))
+        if depth.get(idx, max_steps) < max_steps:
+            results.append(ConfigResult(idx, robots, gathered_outcome, depth[idx], True))
+            continue
+        trace = engine.run(cfg, decide, visibility, max_steps)
+        results.append(
+            ConfigResult(idx, robots, trace.outcome, len(trace.steps), trace.min_connected)
         )
-        failure_traces.extend(failures)
-    results.sort(key=lambda r: r.config_id)
-    failure_traces.sort(key=lambda f: f[0])
+        failure_traces.append((idx, engine.trace_to_lines(trace, algorithm)))
     summary = VerificationSummary(
         algorithm=algorithm,
         n=n,
@@ -219,7 +218,7 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
         return _usage_error(
             f"unknown algorithm {ns.algorithm!r}; known: {', '.join(sorted(ALGORITHMS))}"
         )
-    summary, failure_traces = verify_sweep(ns.n, ns.algorithm, ns.max_steps, ns.jobs)
+    summary, failure_traces = verify_sweep(ns.n, ns.algorithm, ns.max_steps)
     _write_verify_artifacts(Path(ns.out_dir), summary, failure_traces)
     _print_summary(summary, ns.format)
     if ns.n == 7 and summary.failures:
@@ -299,6 +298,13 @@ def _cmd_dump_guards(ns: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _step_budget(text: str) -> int:
+    """The ``--max-steps`` value: a decimal integer of at least 1."""
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="trigather",
@@ -315,8 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run an algorithm over every connected configuration")
     p.add_argument("--n", type=int, default=7)
     p.add_argument("--algorithm", default=gather2.ALGORITHM_ID)
-    p.add_argument("--max-steps", type=int, default=engine.DEFAULT_MAX_STEPS)
-    p.add_argument("--jobs", type=int, default=None, help="worker processes (default: all cores)")
+    p.add_argument("--max-steps", type=_step_budget, default=engine.DEFAULT_MAX_STEPS)
+    p.add_argument("--jobs", type=int, help="accepted for compatibility; has no effect")
     p.add_argument("--out-dir", default=DEFAULT_OUT_DIR)
     p.add_argument("--format", choices=("human", "csv", "json"), default="human")
     p.set_defaults(func=_cmd_verify)
@@ -324,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="trace one configuration file")
     p.add_argument("--config", required=True, help="configuration JSON file")
     p.add_argument("--algorithm", default=gather2.ALGORITHM_ID)
-    p.add_argument("--max-steps", type=int, default=engine.DEFAULT_MAX_STEPS)
+    p.add_argument("--max-steps", type=_step_budget, default=engine.DEFAULT_MAX_STEPS)
     p.add_argument("--render", choices=("none", "ascii", "svg"), default="none")
     p.add_argument("--out-dir", default=DEFAULT_OUT_DIR)
     p.set_defaults(func=_cmd_run)
@@ -332,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("range1", help="check a visibility-range-1 rule table on a configuration")
     p.add_argument("--table", required=True, help="rule-table text file")
     p.add_argument("--config", required=True, help="built-in configuration name or JSON file")
-    p.add_argument("--max-steps", type=int, default=engine.DEFAULT_MAX_STEPS)
+    p.add_argument("--max-steps", type=_step_budget, default=engine.DEFAULT_MAX_STEPS)
     p.add_argument("--out-dir", default=DEFAULT_OUT_DIR)
     p.set_defaults(func=_cmd_range1)
 

@@ -32,7 +32,7 @@ def make_configuration(robots: Iterable[TriCoord]) -> Configuration:
         if (
             not isinstance(r, tuple)
             or len(r) != 2
-            or not all(isinstance(v, int) for v in r)
+            or not all(isinstance(v, int) and not isinstance(v, bool) for v in r)
         ):
             raise ValueError(f"robot coordinate must be an (a, b) integer pair, got {r!r}")
         if r in seen:
@@ -132,8 +132,5 @@ def config_from_json(text: str) -> Configuration:
     for item in robots:
         if not isinstance(item, list) or len(item) != 2:
             raise ValueError(f'robot entry {item!r} is not an [a, b] pair')
-        a, b = item
-        if not isinstance(a, int) or not isinstance(b, int):
-            raise ValueError(f"robot entry {item!r} must hold integers")
-        coords.append((a, b))
+        coords.append(tuple(item))
     return make_configuration(coords)

@@ -25,7 +25,6 @@ from typing import Callable, Iterable
 from .config import Configuration, canonicalize, is_connected, is_gathered
 from .grid import (
     Direction,
-    Label,
     LABEL_OFFSET,
     RANGE1_LABELS,
     RANGE2_LABELS,
@@ -63,12 +62,6 @@ class View:
         if not self.occupied <= domain:
             bad = sorted(self.occupied - domain)
             raise ValueError(f"labels {bad} are outside visibility range {self.visibility}")
-
-    def is_robot(self, label: Label) -> bool:
-        return label in self.occupied
-
-    def is_empty(self, label: Label) -> bool:
-        return label not in self.occupied
 
 
 DecisionFunction = Callable[[View], Move]
@@ -325,38 +318,43 @@ def trace_to_lines(trace: Trace, algorithm: str) -> list[str]:
 def trace_from_lines(lines: Iterable[str]) -> tuple[Trace, str]:
     """Parse the line format back into a trace and its algorithm id."""
     records = [json.loads(line) for line in lines if line.strip()]
+    if not all(isinstance(rec, dict) for rec in records):
+        raise ValueError("every trace record must be a JSON object")
     if not records or records[0].get("type") != "header":
         raise ValueError("trace must start with a header record")
     if records[-1].get("type") != "trailer":
         raise ValueError("trace must end with a trailer record")
     header, trailer = records[0], records[-1]
-    initial = frozenset(tuple(r) for r in header["robots"])
-    steps = []
-    for rec in records[1:-1]:
-        if rec.get("type") != "step":
-            raise ValueError(f"unexpected record type {rec.get('type')!r}")
-        steps.append(
-            TraceStep(
-                tuple(_move_from_name(m) for m in rec["decisions"]),
-                frozenset(tuple(r) for r in rec["robots"]),
-                rec["connected"],
+    try:
+        initial = frozenset(tuple(r) for r in header["robots"])
+        steps = []
+        for rec in records[1:-1]:
+            if rec.get("type") != "step":
+                raise ValueError(f"unexpected record type {rec.get('type')!r}")
+            steps.append(
+                TraceStep(
+                    tuple(_move_from_name(m) for m in rec["decisions"]),
+                    frozenset(tuple(r) for r in rec["robots"]),
+                    rec["connected"],
+                )
             )
+        collision = None
+        if "collision" in trailer:
+            collision = CollisionReport(
+                trailer["collision"]["kind"],
+                tuple(
+                    (tuple(coord), _move_from_name(move))
+                    for coord, move in trailer["collision"]["participants"]
+                ),
+            )
+        outcome = Outcome(
+            trailer["outcome"],
+            collision=collision,
+            cycle_length=trailer.get("cycle_length"),
         )
-    collision = None
-    if "collision" in trailer:
-        collision = CollisionReport(
-            trailer["collision"]["kind"],
-            tuple(
-                (tuple(coord), _move_from_name(move))
-                for coord, move in trailer["collision"]["participants"]
-            ),
-        )
-    outcome = Outcome(
-        trailer["outcome"],
-        collision=collision,
-        cycle_length=trailer.get("cycle_length"),
-    )
-    trace = Trace(initial, header["range"], tuple(steps), outcome)
-    if len(trace.steps) != trailer["steps"]:
-        raise ValueError("trailer step count disagrees with recorded steps")
-    return trace, header["algorithm"]
+        trace = Trace(initial, header["range"], tuple(steps), outcome)
+        if len(trace.steps) != trailer["steps"]:
+            raise ValueError("trailer step count disagrees with recorded steps")
+        return trace, header["algorithm"]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed trace record: {exc!r}") from exc

@@ -23,8 +23,8 @@ The decision function is layered, and every layer is data that
    is elsewhere careful about.  A *connectivity screen* suppresses a
    chain move that would split the group of robots the mover can see;
    exhaustive replay shows the printed guards already imply this screen
-   everywhere except two under-guarded lines (19 and 29), whose firings
-   it filters.
+   everywhere except three under-guarded lines (8, 19 and 29), whose
+   firings it filters.
 
 3. ``COMPLETION_RULES`` supply moves for the exact views the screened
    chain leaves quiescent although gathering is not reached.  They were
@@ -49,7 +49,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from .engine import Move, View
-from .grid import Direction, Label, RANGE1_LABELS, RANGE2_LABELS, distance, label_of
+from .grid import Direction, Label, RANGE1_LABELS, RANGE2_LABELS, label_of
 
 ALGORITHM_ID = "gather2-v1"
 ALGORITHM_ID_VERBATIM = "gather2-verbatim"
@@ -334,10 +334,10 @@ def base_label(view: View) -> Label | None:
 
 # Adjacency between the 19 labels of the closed range-2 window (self at
 # (0,0) included), used to test whether a move splits the visible group.
+# Labels are linear in the offset, so adjacent labels differ by a range-1 label.
 _WINDOW: tuple[Label, ...] = ((0, 0),) + RANGE1_LABELS + RANGE2_LABELS
-_OFFSET = {lbl: ((lbl[0] - lbl[1]) // 2, lbl[1]) for lbl in _WINDOW}
 _LABEL_ADJ: dict[Label, frozenset] = {
-    a: frozenset(b for b in _WINDOW if b != a and distance(_OFFSET[a], _OFFSET[b]) == 1)
+    a: frozenset(b for b in _WINDOW if (b[0] - a[0], b[1] - a[1]) in RANGE1_LABELS)
     for a in _WINDOW
 }
 _MOVE_LABEL: dict[Direction, Label] = {d: label_of((0, 0), d.value) for d in Direction}
@@ -557,7 +557,7 @@ def dump_guards() -> str:
         "  every pair of robots in the mover's window (mover included) that is",
         "  connected through occupied window nodes before the move must remain",
         "  connected after it.  exhaustive replay shows the screen only ever",
-        "  filters rule lines 19 and 29, whose printed guards omit it.",
+        "  filters rule lines 8, 19 and 29, whose printed guards do not imply it.",
         "",
         "layer 3: completion rules (reconstruction)",
         "  exact views (occupied labels listed; all other window labels empty)",

@@ -124,7 +124,3 @@ RANGE2_LABELS: tuple[Label, ...] = _labels_at(2)
 LABEL_OFFSET: dict[Label, TriCoord] = {
     lbl: coord_of_label((0, 0), lbl) for lbl in RANGE1_LABELS + RANGE2_LABELS
 }
-
-DIRECTION_OF_LABEL: dict[Label, Direction] = {
-    label_of((0, 0), neighbor((0, 0), d)): d for d in DIRECTIONS
-}

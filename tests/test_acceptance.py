@@ -5,7 +5,6 @@ one-line PASS summaries as they complete).
 """
 
 import hashlib
-import os
 import random
 import time
 
@@ -33,7 +32,7 @@ from trigather.range1 import (
 # frozen regression constants, derived from the first verified runs
 MAX_STEPS_OBSERVED = 19
 DEFAULT_STEP_BUDGET = engine.DEFAULT_MAX_STEPS  # 500
-DUMP_SHA256 = "a4b2d57620b0333b4beadd794422c326e8314087a4e808bdc30e1474a5e8aae6"
+DUMP_SHA256 = "62baf1f1b67870888927c1606b8947d386dfecaf1282efd6e85947ee7a852152"
 
 
 def report(criterion, detail):
@@ -43,9 +42,7 @@ def report(criterion, detail):
 @pytest.fixture(scope="module")
 def sweep():
     started = time.perf_counter()
-    summary, failure_traces = verify_sweep(
-        7, "gather2-v1", max_steps=DEFAULT_STEP_BUDGET, jobs=os.cpu_count()
-    )
+    summary, failure_traces = verify_sweep(7, "gather2-v1", max_steps=DEFAULT_STEP_BUDGET)
     summary_time = time.perf_counter() - started
     return summary, failure_traces, summary_time
 

@@ -4,8 +4,17 @@ import json
 
 import pytest
 
-from trigather.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main, verify_sweep
-from trigather.config import config_to_json, gathered_hexagon
+from trigather import engine
+from trigather.cli import (
+    ALGORITHMS,
+    EXIT_FAILURE,
+    EXIT_OK,
+    EXIT_USAGE,
+    ConfigResult,
+    main,
+    verify_sweep,
+)
+from trigather.config import config_to_json, enumerate_connected, gathered_hexagon
 from trigather.range1 import RuleTable, table_to_text
 
 
@@ -178,7 +187,62 @@ def test_usage_error_exit_code():
 
 
 def test_verify_sweep_merges_in_canonical_order():
-    summary, _ = verify_sweep(3, "gather2-v1", max_steps=50, jobs=1)
+    summary, _ = verify_sweep(3, "gather2-v1", max_steps=50)
     assert summary.total == 11
     assert [r.config_id for r in summary.results] == list(range(11))
     assert summary.total == summary.gathered + len(summary.failures)
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--n", "2"],
+        ["run", "--config", "start.json"],
+        ["range1", "--table", "rules.tbl", "--config", "fig5a-diagonal"],
+    ],
+    ids=["verify", "run", "range1"],
+)
+def test_max_steps_below_one_exits_2(argv, value, tmp_path, capsys):
+    assert main(argv + ["--max-steps", value, "--out-dir", str(tmp_path)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "error: argument --max-steps" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("max_steps", [0, -3])
+def test_verify_sweep_rejects_max_steps_below_one(max_steps):
+    with pytest.raises(ValueError, match="max_steps"):
+        verify_sweep(1, "gather2-v1", max_steps)
+
+
+def per_start_sweep(n, algorithm, max_steps):
+    """The reference verify: one engine.run per enumerated start."""
+    decide, visibility = ALGORITHMS[algorithm]
+    results = []
+    failure_traces = []
+    for idx, cfg in enumerate(enumerate_connected(n)):
+        trace = engine.run(cfg, decide, visibility, max_steps)
+        results.append(
+            ConfigResult(
+                idx, tuple(sorted(cfg)), trace.outcome, len(trace.steps), trace.min_connected
+            )
+        )
+        if trace.outcome.kind != engine.OutcomeKind.GATHERED:
+            failure_traces.append((idx, engine.trace_to_lines(trace, algorithm)))
+    return tuple(results), failure_traces
+
+
+# gather2-v1 at 19 steps: the two 19-step starts hit the step limit
+BUDGETS = {"gather2-v1": 19, "gather2-verbatim": 500, "all-stay": 5}
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("algorithm", sorted(BUDGETS))
+def test_verify_sweep_matches_per_start_runs(algorithm, n):
+    summary, failure_traces = verify_sweep(n, algorithm, BUDGETS[algorithm])
+    results, expected_traces = per_start_sweep(n, algorithm, BUDGETS[algorithm])
+    assert summary.results == results
+    assert failure_traces == expected_traces
+    if (algorithm, n) == ("gather2-v1", 7):
+        assert [r.outcome.token() for r in summary.failures] == ["step-limit"] * 2

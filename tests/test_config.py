@@ -30,6 +30,11 @@ def test_make_configuration_rejects_bad_input():
         make_configuration([(0.5, 1)])
 
 
+def test_make_configuration_rejects_bool_coordinates():
+    with pytest.raises(ValueError):
+        make_configuration([(True, 0)])
+
+
 def test_is_connected():
     assert is_connected(frozenset({(0, 0)}))
     assert is_connected(SE_LINE)
@@ -122,3 +127,8 @@ def test_config_json_rejects_duplicates_and_malformed():
         config_from_json('not json')
     with pytest.raises(ValueError):
         config_from_json('{"robots": [[0.5, 0], [1, 0]]}')
+
+
+def test_config_json_rejects_bool_coordinates():
+    with pytest.raises(ValueError):
+        config_from_json('{"robots": [[true, 0], [false, 0]]}')

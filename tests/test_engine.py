@@ -1,5 +1,7 @@
 """FSYNC execution: views, collisions, runs, trace serialization."""
 
+import json
+
 import pytest
 
 from trigather import engine
@@ -40,7 +42,7 @@ def test_view_validation():
     with pytest.raises(ValueError):
         View(1, frozenset({(4, 0)}))  # a range-2 label in a range-1 view
     v = View(1, frozenset({(2, 0)}))
-    assert v.is_robot((2, 0)) and v.is_empty((-2, 0))
+    assert (2, 0) in v.occupied and (-2, 0) not in v.occupied
 
 
 def test_observe_single_neighbor():
@@ -203,3 +205,25 @@ def test_trace_lines_round_trip_collision():
     lines = trace_to_lines(tr, "range1:test")
     back, _ = trace_from_lines(lines)
     assert back == tr
+
+
+@pytest.mark.parametrize(
+    "field, record",
+    [("robots", 0), ("decisions", 1), ("steps", -1)],
+)
+def test_trace_from_lines_missing_field_is_value_error(field, record):
+    lines = trace_to_lines(run(SE_LINE, decide_move, 2), "gather2-v1")
+    rec = json.loads(lines[record])
+    del rec[field]
+    lines[record] = json.dumps(rec)
+    with pytest.raises(ValueError, match=field):
+        trace_from_lines(lines)
+
+
+def test_trace_from_lines_non_object_record_is_value_error():
+    lines = trace_to_lines(run(SE_LINE, decide_move, 2), "gather2-v1")
+    for record in (0, 1):
+        bad = list(lines)
+        bad[record] = "[1, 2]"
+        with pytest.raises(ValueError, match="JSON object"):
+            trace_from_lines(bad)
