@@ -205,9 +205,10 @@ def _cmd_enumerate(ns: argparse.Namespace) -> int:
     shapes = configs.enumerate_connected(ns.n)
     print(f"n={ns.n} count={len(shapes)}")
     if ns.out:
-        Path(ns.out).write_text(
-            "".join(configs.config_to_json(c) + "\n" for c in shapes)
-        )
+        try:
+            Path(ns.out).write_text("".join(configs.config_to_json(c) + "\n" for c in shapes))
+        except OSError as exc:
+            return _usage_error(f"cannot write {ns.out}: {exc}")
     return EXIT_OK
 
 
@@ -219,7 +220,10 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
             f"unknown algorithm {ns.algorithm!r}; known: {', '.join(sorted(ALGORITHMS))}"
         )
     summary, failure_traces = verify_sweep(ns.n, ns.algorithm, ns.max_steps)
-    _write_verify_artifacts(Path(ns.out_dir), summary, failure_traces)
+    try:
+        _write_verify_artifacts(Path(ns.out_dir), summary, failure_traces)
+    except OSError as exc:
+        return _usage_error(f"cannot write to {ns.out_dir}: {exc}")
     _print_summary(summary, ns.format)
     if ns.n == 7 and summary.failures:
         return EXIT_FAILURE
@@ -249,16 +253,19 @@ def _cmd_run(ns: argparse.Namespace) -> int:
     trace = engine.run(cfg, decide, visibility, ns.max_steps)
 
     out_dir = Path(ns.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     stem = Path(ns.config).stem or "run"
     trace_path = out_dir / f"{stem}.trace"
-    trace_path.write_text("\n".join(engine.trace_to_lines(trace, ns.algorithm)) + "\n")
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        trace_path.write_text("\n".join(engine.trace_to_lines(trace, ns.algorithm)) + "\n")
+        if ns.render == "svg":
+            for i, doc in enumerate(render.svg_trace(trace)):
+                (out_dir / f"{stem}-step{i:03d}.svg").write_text(doc)
+    except OSError as exc:
+        return _usage_error(f"cannot write to {out_dir}: {exc}")
 
     if ns.render == "ascii":
         print(render.ascii_trace(trace), end="")
-    elif ns.render == "svg":
-        for i, doc in enumerate(render.svg_trace(trace)):
-            (out_dir / f"{stem}-step{i:03d}.svg").write_text(doc)
     print(f"outcome={trace.outcome.token()} steps={len(trace.steps)} trace={trace_path}")
     return EXIT_OK
 
@@ -284,11 +291,12 @@ def _cmd_range1(ns: argparse.Namespace) -> int:
         return _usage_error(f"{ns.config}: configuration is not connected")
     verdict = range1.check_table(table, cfg, ns.max_steps)
     out_dir = Path(ns.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    trace_path = out_dir / "range1.trace"
-    trace_path.write_text(
-        "\n".join(engine.trace_to_lines(verdict.trace, f"range1:{Path(ns.table).name}")) + "\n"
-    )
+    lines = engine.trace_to_lines(verdict.trace, f"range1:{Path(ns.table).name}")
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / "range1.trace").write_text("\n".join(lines) + "\n")
+    except OSError as exc:
+        return _usage_error(f"cannot write to {out_dir}: {exc}")
     print(f"outcome={verdict.outcome.token()} steps={len(verdict.trace.steps)}")
     return EXIT_OK
 

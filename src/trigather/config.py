@@ -14,7 +14,6 @@ genuinely distinct inputs.
 from __future__ import annotations
 
 import json
-from collections import deque
 from typing import Iterable
 
 from .grid import TriCoord, neighbors
@@ -52,16 +51,17 @@ def is_connected(cfg: Configuration) -> bool:
     """True iff the robot nodes induce one connected subgraph."""
     if not cfg:
         raise ValueError("connectivity is undefined for an empty configuration")
-    start = next(iter(cfg))
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        node = queue.popleft()
-        for nb in neighbors(node):
-            if nb in cfg and nb not in seen:
-                seen.add(nb)
-                queue.append(nb)
-    return len(seen) == len(cfg)
+    unvisited = set(cfg)
+    stack = [unvisited.pop()]
+    while stack:
+        a, b = stack.pop()
+        for nb in ((a + 1, b), (a, b + 1), (a - 1, b + 1), (a - 1, b), (a, b - 1), (a + 1, b - 1)):
+            if nb in unvisited:
+                unvisited.remove(nb)
+                if not unvisited:
+                    return True
+                stack.append(nb)
+    return not unvisited
 
 
 def is_gathered(cfg: Configuration) -> bool:

@@ -3,8 +3,11 @@
 Every cycle, each robot observes the occupancy of the nodes within its
 visibility range (a :class:`View`, in label space), a pure decision
 function maps the view to a move or a stay, and all moves are applied
-simultaneously.  Three simultaneous-move events are collisions and
-terminate the run with a report instead of a successor state:
+simultaneously.  Views are interned by occupancy: equal observations
+return one shared :class:`View`, which is immutable.
+
+Three simultaneous-move events are collisions and terminate the run with
+a report instead of a successor state:
 
 - ``SWAP``: two robots traverse one edge in opposite directions,
 - ``MOVE_ONTO_STATIONARY``: a mover's target is held by a robot that stays,
@@ -35,9 +38,13 @@ from .grid import (
 # A decision: a Direction, or None for "stay at the current node".
 Move = Direction | None
 
-_VIEW_DOMAIN: dict[int, frozenset] = {
-    1: frozenset(RANGE1_LABELS),
-    2: frozenset(RANGE1_LABELS + RANGE2_LABELS),
+# The labels a view of each visibility range can mention, in bit order.
+_LABELS: dict[int, tuple] = {1: RANGE1_LABELS, 2: RANGE1_LABELS + RANGE2_LABELS}
+_VIEW_DOMAIN: dict[int, frozenset] = {v: frozenset(labels) for v, labels in _LABELS.items()}
+# One (da, db, bit) probe per label: bit i is set when label i is occupied.
+_PROBES: dict[int, tuple] = {
+    v: tuple((*LABEL_OFFSET[lbl], 1 << i) for i, lbl in enumerate(labels))
+    for v, labels in _LABELS.items()
 }
 
 DEFAULT_MAX_STEPS = 500
@@ -128,18 +135,33 @@ class Trace:
         return all(s.connected for s in self.steps)
 
 
+# Interned views per visibility range, keyed by occupancy mask; at most
+# 2^6 and 2^18 entries.  Views are immutable, so every caller may share one.
+_VIEWS: dict[int, dict[int, View]] = {v: {} for v in _LABELS}
+
+
 def observe(cfg: Configuration, robot: TriCoord, visibility: int) -> View:
-    """The view of ``robot`` in ``cfg``: occupied labels within range."""
+    """The view of ``robot`` in ``cfg``: occupied labels within range.
+
+    Equal observations return the same shared ``View`` object.
+    """
     if robot not in cfg:
         raise ValueError(f"robot {robot!r} is not part of the configuration")
-    if visibility not in _VIEW_DOMAIN:
+    probes = _PROBES.get(visibility)
+    if probes is None:
         raise ValueError(f"visibility range must be 1 or 2, got {visibility}")
-    ra, rb = robot
-    labels = RANGE1_LABELS if visibility == 1 else RANGE1_LABELS + RANGE2_LABELS
-    occupied = frozenset(
-        lbl for lbl in labels if (ra + LABEL_OFFSET[lbl][0], rb + LABEL_OFFSET[lbl][1]) in cfg
-    )
-    return View(visibility, occupied)
+    a, b = robot
+    mask = 0
+    for da, db, bit in probes:
+        if (a + da, b + db) in cfg:
+            mask |= bit
+    views = _VIEWS[visibility]
+    view = views.get(mask)
+    if view is None:
+        labels = _LABELS[visibility]
+        occupied = frozenset(lbl for i, lbl in enumerate(labels) if mask >> i & 1)
+        view = views[mask] = View(visibility, occupied)
+    return view
 
 
 def compute_decisions(

@@ -89,17 +89,24 @@ class RuleTable:
         return self.actions[mask_of(dirs)]
 
 
+_NEIGHBOR_LABELS = frozenset(RANGE1_LABELS)
+
+# Every set of occupied neighbor labels -> its table index (bit i is RANGE1_LABELS[i]).
+_MASK_OF_NEIGHBORS: dict[frozenset, int] = {
+    frozenset(lbl for i, lbl in enumerate(RANGE1_LABELS) if mask >> i & 1): mask
+    for mask in range(TABLE_SIZE)
+}
+
+
 def table_to_decision(table: RuleTable) -> DecisionFunction:
     """Wrap a table as a decision function reading only the six neighbor labels."""
-    neighbor_bits = tuple((lbl, 1 << i) for i, lbl in enumerate(RANGE1_LABELS))
     actions = table.actions
 
     def decide(view: View) -> Move:
-        mask = 0
-        for lbl, bit in neighbor_bits:
-            if lbl in view.occupied:
-                mask |= bit
-        return actions[mask]
+        occupied = view.occupied
+        if view.visibility != 1:
+            occupied = occupied & _NEIGHBOR_LABELS
+        return actions[_MASK_OF_NEIGHBORS[occupied]]
 
     return decide
 
@@ -169,9 +176,10 @@ class Verdict:
 def check_table(
     table: RuleTable, cfg: Configuration, max_steps: int = DEFAULT_MAX_STEPS
 ) -> Verdict:
-    """Run a rule table on one connected configuration at range 1."""
-    if not is_connected(cfg):
-        raise ValueError("configuration must be connected")
+    """Run a rule table on one connected configuration at range 1.
+
+    ``engine.run`` raises ``ValueError`` for a disconnected configuration.
+    """
     trace = run(cfg, table_to_decision(table), 1, max_steps)
     return Verdict(trace.outcome, trace)
 

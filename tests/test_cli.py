@@ -210,6 +210,34 @@ def test_max_steps_below_one_exits_2(argv, value, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("under_file", [False, True], ids=["file", "under-file"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--n", "2", "--out-dir"],
+        ["run", "--config", "start.json", "--out-dir"],
+        ["range1", "--table", "rules.tbl", "--config", "fig5a-diagonal", "--out-dir"],
+        ["enumerate", "--n", "2", "--out"],
+    ],
+    ids=["verify", "run", "range1", "enumerate"],
+)
+def test_unwritable_output_path_exits_2(argv, under_file, hexa_file, tmp_path, capsys,
+                                        monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "start.json").write_text(hexa_file.read_text())
+    (tmp_path / "rules.tbl").write_text(table_to_text(RuleTable.all_stay()))
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    target = blocker / "x" if under_file else blocker
+    if argv[0] == "enumerate" and not under_file:
+        target = tmp_path  # a directory cannot be written as a file
+    assert main(argv + [str(target)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert blocker.read_text() == ""
+
+
 @pytest.mark.parametrize("max_steps", [0, -3])
 def test_verify_sweep_rejects_max_steps_below_one(max_steps):
     with pytest.raises(ValueError, match="max_steps"):

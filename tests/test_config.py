@@ -1,6 +1,7 @@
 """Configurations: predicates, canonical form, enumeration, file payload."""
 
 import os
+from itertools import combinations
 
 import pytest
 
@@ -39,6 +40,41 @@ def test_is_connected():
     assert is_connected(frozenset({(0, 0)}))
     assert is_connected(SE_LINE)
     assert not is_connected(frozenset({(0, 0), (2, 0)}))
+
+
+def union_find_connected(cells):
+    """Connectivity by union-find over the six unit offsets, independent of config."""
+    parent = {c: c for c in cells}
+
+    def root(c):
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
+
+    for a, b in cells:
+        for da, db in ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1)):
+            if (a + da, b + db) in parent:
+                parent[root((a + da, b + db))] = root((a, b))
+    return len({root(c) for c in cells}) == 1
+
+
+def test_is_connected_matches_union_find_on_disc_subsets():
+    disc2 = [
+        (da, db)
+        for da in range(-2, 3)
+        for db in range(-2, 3)
+        if max(abs(da), abs(db), abs(da + db)) <= 2
+    ]
+    assert len(disc2) == 19
+    verdicts = []
+    for size in range(1, 6):
+        for cells in combinations(disc2, size):
+            expected = union_find_connected(cells)
+            assert is_connected(frozenset(cells)) == expected, cells
+            verdicts.append(expected)
+    assert len(verdicts) == 16663
+    assert 0 < sum(verdicts) < len(verdicts)  # both verdicts occur
 
 
 def test_is_gathered():

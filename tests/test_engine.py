@@ -5,7 +5,7 @@ import json
 import pytest
 
 from trigather import engine
-from trigather.config import gathered_hexagon, translate
+from trigather.config import enumerate_connected, gathered_hexagon, translate
 from trigather.engine import (
     CollisionKind,
     CollisionReport,
@@ -18,7 +18,7 @@ from trigather.engine import (
     trace_to_lines,
 )
 from trigather.gather2 import decide_move
-from trigather.grid import Direction
+from trigather.grid import Direction, distance, label_of
 from trigather.range1 import RuleTable, table_to_decision
 
 E, NE, NW, W, SW, SE = (
@@ -53,6 +53,30 @@ def test_observe_single_neighbor():
 def test_observe_requires_membership():
     with pytest.raises(ValueError):
         observe(frozenset({(0, 0)}), (5, 5), 1)
+
+
+def test_observe_rejects_bad_visibility():
+    with pytest.raises(ValueError):
+        observe(frozenset({(0, 0)}), (0, 0), 3)
+    with pytest.raises(ValueError):
+        observe(frozenset({(0, 0)}), (0, 0), 0)
+
+
+def test_observe_matches_labelled_reference_and_interns_views():
+    interned = {}
+    for cfg in enumerate_connected(7):
+        for robot in cfg:
+            for visibility in (1, 2):
+                view = observe(cfg, robot, visibility)
+                expected = frozenset(
+                    label_of(robot, other)
+                    for other in cfg
+                    if other != robot and distance(robot, other) <= visibility
+                )
+                assert view.visibility == visibility
+                assert view.occupied == expected
+                assert interned.setdefault((visibility, expected), view) is view
+    assert len([v for v, _ in interned if v == 1]) == 63  # all but the empty view
 
 
 def test_observe_gathered_center():

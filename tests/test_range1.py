@@ -7,7 +7,15 @@ import pytest
 from trigather import engine
 from trigather.config import canonicalize, is_connected
 from trigather.engine import OutcomeKind, View, observe
-from trigather.grid import DIRECTIONS, Direction, neighbor, neighbors, opposite
+from trigather.grid import (
+    DIRECTIONS,
+    RANGE2_LABELS,
+    Direction,
+    label_of,
+    neighbor,
+    neighbors,
+    opposite,
+)
 from trigather.range1 import (
     ACTIONS,
     BUILTIN_CONFIGS,
@@ -162,8 +170,23 @@ def test_check_seed_move_alone_on_diagonal():
 
 
 def test_check_table_rejects_disconnected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="connected"):
         check_table(RuleTable.all_stay(), frozenset({(0, 0), (2, 0)}))
+
+
+def test_table_lookup_matches_mask_on_all_patterns():
+    rng = random.Random(64)
+    table = RuleTable((None,) + tuple(rng.choice(ACTIONS) for _ in range(63)))
+    decide = table_to_decision(table)
+    for mask in range(64):
+        dirs = dirs_of_mask(mask)
+        occupied = frozenset(label_of((0, 0), neighbor((0, 0), d)) for d in dirs)
+        expected = table.actions[mask_of(dirs)]
+        assert decide(View(1, occupied)) is expected
+        for _ in range(4):
+            far = frozenset(rng.sample(RANGE2_LABELS, rng.randint(1, len(RANGE2_LABELS))))
+            assert decide(View(2, occupied | far)) is expected
+        assert decide(View(2, occupied)) is expected
 
 
 def test_search_all_stay_single_completion():
