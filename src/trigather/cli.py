@@ -1,12 +1,14 @@
 """Command-line front end: enumeration, tracing, exhaustive verification.
 
 Exit codes are a stable contract: 0 success, 1 verification failure,
-2 usage or input error.
+2 usage or input error.  Handlers raise :class:`UsageError` for bad input and
+unwritable outputs; :func:`main` alone reports it.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import time
 from dataclasses import dataclass
@@ -37,7 +39,6 @@ ALGORITHMS: dict[str, tuple[engine.DecisionFunction, int]] = {
 @dataclass(frozen=True)
 class ConfigResult:
     config_id: int
-    robots: tuple
     outcome: engine.Outcome
     steps: int
     min_connected: bool
@@ -114,14 +115,11 @@ def verify_sweep(
     results = []
     failure_traces = []
     for idx, cfg in enumerate(shapes):
-        robots = tuple(sorted(cfg))
         if depth.get(idx, max_steps) < max_steps:
-            results.append(ConfigResult(idx, robots, gathered_outcome, depth[idx], True))
+            results.append(ConfigResult(idx, gathered_outcome, depth[idx], True))
             continue
         trace = engine.run(cfg, decide, visibility, max_steps)
-        results.append(
-            ConfigResult(idx, robots, trace.outcome, len(trace.steps), trace.min_connected)
-        )
+        results.append(ConfigResult(idx, trace.outcome, len(trace.steps), trace.min_connected))
         failure_traces.append((idx, engine.trace_to_lines(trace, algorithm)))
     summary = VerificationSummary(
         algorithm=algorithm,
@@ -159,13 +157,11 @@ def _summary_json(summary: VerificationSummary) -> dict:
 
 
 def _print_summary(summary: VerificationSummary, fmt: str) -> None:
-    import json as _json
-
     if fmt == "csv":
         print("\n".join(summary_csv_rows(summary)))
         return
     if fmt == "json":
-        print(_json.dumps(_summary_json(summary), sort_keys=True))
+        print(json.dumps(_summary_json(summary), sort_keys=True))
         return
     if summary.n != 7:
         print("informational: gathering is defined for 7 robots;"
@@ -182,88 +178,72 @@ def _print_summary(summary: VerificationSummary, fmt: str) -> None:
         print(f"failure: config-{r.config_id} outcome={r.outcome.token()} steps={r.steps}")
 
 
-def _write_verify_artifacts(
-    out_dir: Path, summary: VerificationSummary, failure_traces: list[tuple[int, list[str]]]
-) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "summary.csv").write_text("\n".join(summary_csv_rows(summary)) + "\n")
-    if failure_traces:
-        fail_dir = out_dir / "failures"
-        fail_dir.mkdir(exist_ok=True)
-        for idx, lines in failure_traces:
-            (fail_dir / f"config-{idx}.trace").write_text("\n".join(lines) + "\n")
+class UsageError(Exception):
+    """Bad input or an unwritable output; :func:`main` reports it and exits 2."""
 
 
-def _usage_error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_USAGE
+def _read(path: str, parse, hint: str = ""):
+    """``parse`` applied to the text of ``path``; unreadable or malformed is a UsageError."""
+    try:
+        return parse(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"{path}: {exc}{hint}") from exc
+
+
+def _connected(cfg: configs.Configuration, name: str) -> configs.Configuration:
+    if not configs.is_connected(cfg):
+        raise UsageError(f"{name}: configuration is not connected")
+    return cfg
+
+
+def _claim_dir(path: str | Path) -> Path:
+    """Create the output directory ``path`` (and its parents) before any work."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot write to {path}: {exc}") from exc
+    return out
+
+
+def _write(path: Path, text: str) -> None:
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
 def _cmd_enumerate(ns: argparse.Namespace) -> int:
-    if not 1 <= ns.n <= configs.MAX_ENUMERATION_SIZE:
-        return _usage_error(f"--n must be between 1 and {configs.MAX_ENUMERATION_SIZE}")
     shapes = configs.enumerate_connected(ns.n)
     print(f"n={ns.n} count={len(shapes)}")
     if ns.out:
-        try:
-            Path(ns.out).write_text("".join(configs.config_to_json(c) + "\n" for c in shapes))
-        except OSError as exc:
-            return _usage_error(f"cannot write {ns.out}: {exc}")
+        _write(Path(ns.out), "".join(configs.config_to_json(c) + "\n" for c in shapes))
     return EXIT_OK
 
 
 def _cmd_verify(ns: argparse.Namespace) -> int:
-    if not 1 <= ns.n <= configs.MAX_ENUMERATION_SIZE:
-        return _usage_error(f"--n must be between 1 and {configs.MAX_ENUMERATION_SIZE}")
-    if ns.algorithm not in ALGORITHMS:
-        return _usage_error(
-            f"unknown algorithm {ns.algorithm!r}; known: {', '.join(sorted(ALGORITHMS))}"
-        )
+    out_dir = _claim_dir(ns.out_dir)
     summary, failure_traces = verify_sweep(ns.n, ns.algorithm, ns.max_steps)
-    try:
-        _write_verify_artifacts(Path(ns.out_dir), summary, failure_traces)
-    except OSError as exc:
-        return _usage_error(f"cannot write to {ns.out_dir}: {exc}")
+    _write(out_dir / "summary.csv", "\n".join(summary_csv_rows(summary)) + "\n")
+    if failure_traces:
+        fail_dir = _claim_dir(out_dir / "failures")
+        for idx, lines in failure_traces:
+            _write(fail_dir / f"config-{idx}.trace", "\n".join(lines) + "\n")
     _print_summary(summary, ns.format)
-    if ns.n == 7 and summary.failures:
-        return EXIT_FAILURE
-    return EXIT_OK
-
-
-def _load_config_file(path: str):
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ValueError(f"cannot read {path}: {exc}") from exc
-    return configs.config_from_json(text)
+    return EXIT_FAILURE if ns.n == 7 and summary.failures else EXIT_OK
 
 
 def _cmd_run(ns: argparse.Namespace) -> int:
-    if ns.algorithm not in ALGORITHMS:
-        return _usage_error(
-            f"unknown algorithm {ns.algorithm!r}; known: {', '.join(sorted(ALGORITHMS))}"
-        )
-    try:
-        cfg = _load_config_file(ns.config)
-    except ValueError as exc:
-        return _usage_error(f"{ns.config}: {exc}")
-    if not configs.is_connected(cfg):
-        return _usage_error(f"{ns.config}: configuration is not connected")
+    cfg = _connected(_read(ns.config, configs.config_from_json), ns.config)
+    out_dir = _claim_dir(ns.out_dir)
     decide, visibility = ALGORITHMS[ns.algorithm]
     trace = engine.run(cfg, decide, visibility, ns.max_steps)
-
-    out_dir = Path(ns.out_dir)
     stem = Path(ns.config).stem or "run"
     trace_path = out_dir / f"{stem}.trace"
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        trace_path.write_text("\n".join(engine.trace_to_lines(trace, ns.algorithm)) + "\n")
-        if ns.render == "svg":
-            for i, doc in enumerate(render.svg_trace(trace)):
-                (out_dir / f"{stem}-step{i:03d}.svg").write_text(doc)
-    except OSError as exc:
-        return _usage_error(f"cannot write to {out_dir}: {exc}")
-
+    _write(trace_path, "\n".join(engine.trace_to_lines(trace, ns.algorithm)) + "\n")
+    if ns.render == "svg":
+        for i, doc in enumerate(render.svg_trace(trace)):
+            _write(out_dir / f"{stem}-step{i:03d}.svg", doc)
     if ns.render == "ascii":
         print(render.ascii_trace(trace), end="")
     print(f"outcome={trace.outcome.token()} steps={len(trace.steps)} trace={trace_path}")
@@ -271,32 +251,17 @@ def _cmd_run(ns: argparse.Namespace) -> int:
 
 
 def _cmd_range1(ns: argparse.Namespace) -> int:
-    try:
-        table = range1.table_from_text(Path(ns.table).read_text())
-    except OSError as exc:
-        return _usage_error(f"cannot read {ns.table}: {exc}")
-    except ValueError as exc:
-        return _usage_error(f"{ns.table}: {exc}")
+    table = _read(ns.table, range1.table_from_text)
     if ns.config in range1.BUILTIN_CONFIGS:
         cfg = range1.BUILTIN_CONFIGS[ns.config].robots
     else:
-        try:
-            cfg = _load_config_file(ns.config)
-        except ValueError as exc:
-            return _usage_error(
-                f"{ns.config!r} is neither a built-in configuration"
-                f" ({', '.join(sorted(range1.BUILTIN_CONFIGS))}) nor a readable file: {exc}"
-            )
-    if not configs.is_connected(cfg):
-        return _usage_error(f"{ns.config}: configuration is not connected")
+        builtins = ", ".join(sorted(range1.BUILTIN_CONFIGS))
+        cfg = _read(ns.config, configs.config_from_json, f" (built-in configurations: {builtins})")
+    cfg = _connected(cfg, ns.config)
+    out_dir = _claim_dir(ns.out_dir)
     verdict = range1.check_table(table, cfg, ns.max_steps)
-    out_dir = Path(ns.out_dir)
     lines = engine.trace_to_lines(verdict.trace, f"range1:{Path(ns.table).name}")
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "range1.trace").write_text("\n".join(lines) + "\n")
-    except OSError as exc:
-        return _usage_error(f"cannot write to {out_dir}: {exc}")
+    _write(out_dir / "range1.trace", "\n".join(lines) + "\n")
     print(f"outcome={verdict.outcome.token()} steps={len(verdict.trace.steps)}")
     return EXIT_OK
 
@@ -322,13 +287,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enumerate", help="count/emit connected configurations up to translation")
-    p.add_argument("--n", type=int, required=True, help="number of robots (1..8)")
+    sizes = range(1, configs.MAX_ENUMERATION_SIZE + 1)
+    p.add_argument("--n", type=int, choices=sizes, required=True, help="number of robots (1..8)")
     p.add_argument("--out", help="write all canonical configurations, one JSON object per line")
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("verify", help="run an algorithm over every connected configuration")
-    p.add_argument("--n", type=int, default=7)
-    p.add_argument("--algorithm", default=gather2.ALGORITHM_ID)
+    p.add_argument("--n", type=int, choices=sizes, default=7)
+    p.add_argument("--algorithm", choices=sorted(ALGORITHMS), default=gather2.ALGORITHM_ID)
     p.add_argument("--max-steps", type=_step_budget, default=engine.DEFAULT_MAX_STEPS)
     p.add_argument("--jobs", type=int, help="accepted for compatibility; has no effect")
     p.add_argument("--out-dir", default=DEFAULT_OUT_DIR)
@@ -337,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="trace one configuration file")
     p.add_argument("--config", required=True, help="configuration JSON file")
-    p.add_argument("--algorithm", default=gather2.ALGORITHM_ID)
+    p.add_argument("--algorithm", choices=sorted(ALGORITHMS), default=gather2.ALGORITHM_ID)
     p.add_argument("--max-steps", type=_step_budget, default=engine.DEFAULT_MAX_STEPS)
     p.add_argument("--render", choices=("none", "ascii", "svg"), default="none")
     p.add_argument("--out-dir", default=DEFAULT_OUT_DIR)
@@ -362,7 +328,11 @@ def main(argv: list[str] | None = None) -> int:
         ns = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    return ns.func(ns)
+    try:
+        return ns.func(ns)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def entry() -> None:

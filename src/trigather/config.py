@@ -121,7 +121,7 @@ def config_from_json(text: str) -> Configuration:
     """Parse a configuration payload; rejects duplicates and bad shapes."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"not valid JSON: {exc}") from exc
     if not isinstance(obj, dict) or "robots" not in obj:
         raise ValueError('configuration payload must be an object with a "robots" key')

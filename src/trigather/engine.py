@@ -167,8 +167,11 @@ def observe(cfg: Configuration, robot: TriCoord, visibility: int) -> View:
 def compute_decisions(
     cfg: Configuration, decide: DecisionFunction, visibility: int
 ) -> dict[TriCoord, Move]:
-    """All robots' simultaneous Look+Compute results for one cycle."""
-    return {r: decide(observe(cfg, r, visibility)) for r in cfg}
+    """All robots' simultaneous Look+Compute results for one cycle.
+
+    The dict is in sorted robot order, the order of ``TraceStep.decisions``.
+    """
+    return {r: decide(observe(cfg, r, visibility)) for r in sorted(cfg)}
 
 
 def apply_decisions(
@@ -177,12 +180,12 @@ def apply_decisions(
     """Execute one synchronous Move phase.
 
     Collision modes are checked before any state change, in the order
-    swap, move-onto-stationary, same-target, scanning robots in canonical
-    (sorted) order so the first report is deterministic.
+    swap, move-onto-stationary, same-target, scanning robots in the order
+    of ``decisions`` (sorted, as :func:`compute_decisions` builds it) so the
+    first report is deterministic.
     """
-    order = sorted(cfg)
     targets = {r: (neighbor(r, m) if m is not None else r) for r, m in decisions.items()}
-    movers = [r for r in order if decisions[r] is not None]
+    movers = [r for r, m in decisions.items() if m is not None]
 
     for r in movers:
         t = targets[r]
@@ -246,7 +249,7 @@ def run(
     outcome: Outcome | None = None
     while outcome is None:
         decisions = compute_decisions(current, decide, visibility)
-        ordered = tuple(decisions[r] for r in sorted(current))
+        ordered = tuple(decisions.values())
         if all(m is None for m in ordered):
             if is_gathered(current):
                 outcome = Outcome(OutcomeKind.GATHERED)
@@ -339,7 +342,10 @@ def trace_to_lines(trace: Trace, algorithm: str) -> list[str]:
 
 def trace_from_lines(lines: Iterable[str]) -> tuple[Trace, str]:
     """Parse the line format back into a trace and its algorithm id."""
-    records = [json.loads(line) for line in lines if line.strip()]
+    try:
+        records = [json.loads(line) for line in lines if line.strip()]
+    except RecursionError as exc:
+        raise ValueError(f"trace record nested too deeply: {exc}") from exc
     if not all(isinstance(rec, dict) for rec in records):
         raise ValueError("every trace record must be a JSON object")
     if not records or records[0].get("type") != "header":

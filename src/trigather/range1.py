@@ -85,9 +85,6 @@ class RuleTable:
             actions[mask_of(dirs)] = move
         return cls(tuple(actions))
 
-    def action(self, dirs: Iterable[Direction]) -> Move:
-        return self.actions[mask_of(dirs)]
-
 
 _NEIGHBOR_LABELS = frozenset(RANGE1_LABELS)
 

@@ -1,10 +1,15 @@
 """Command-line contract: subcommands, formats, exit codes."""
 
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from trigather import engine
+from trigather import cli, engine
 from trigather.cli import (
     ALGORITHMS,
     EXIT_FAILURE,
@@ -15,7 +20,7 @@ from trigather.cli import (
     verify_sweep,
 )
 from trigather.config import config_to_json, enumerate_connected, gathered_hexagon
-from trigather.range1 import RuleTable, table_to_text
+from trigather.range1 import ACTIONS, RuleTable, table_to_text
 
 
 @pytest.fixture()
@@ -223,6 +228,10 @@ def test_max_steps_below_one_exits_2(argv, value, tmp_path, capsys):
 )
 def test_unwritable_output_path_exits_2(argv, under_file, hexa_file, tmp_path, capsys,
                                         monkeypatch):
+    def no_sweep(*args):
+        raise AssertionError("verify swept before claiming --out-dir")
+
+    monkeypatch.setattr(cli, "verify_sweep", no_sweep)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "start.json").write_text(hexa_file.read_text())
     (tmp_path / "rules.tbl").write_text(table_to_text(RuleTable.all_stay()))
@@ -238,6 +247,23 @@ def test_unwritable_output_path_exits_2(argv, under_file, hexa_file, tmp_path, c
     assert blocker.read_text() == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["run", "--config", "deep.json"],
+     ["range1", "--table", "rules.tbl", "--config", "deep.json"]],
+    ids=["run", "range1"],
+)
+def test_deeply_nested_config_exits_2(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "deep.json").write_text('{"robots": ' + "[" * 5000 + "]" * 5000 + "}")
+    (tmp_path / "rules.tbl").write_text(table_to_text(RuleTable.all_stay()))
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: deep.json: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "trigather-out").exists()
+
+
 @pytest.mark.parametrize("max_steps", [0, -3])
 def test_verify_sweep_rejects_max_steps_below_one(max_steps):
     with pytest.raises(ValueError, match="max_steps"):
@@ -251,11 +277,7 @@ def per_start_sweep(n, algorithm, max_steps):
     failure_traces = []
     for idx, cfg in enumerate(enumerate_connected(n)):
         trace = engine.run(cfg, decide, visibility, max_steps)
-        results.append(
-            ConfigResult(
-                idx, tuple(sorted(cfg)), trace.outcome, len(trace.steps), trace.min_connected
-            )
-        )
+        results.append(ConfigResult(idx, trace.outcome, len(trace.steps), trace.min_connected))
         if trace.outcome.kind != engine.OutcomeKind.GATHERED:
             failure_traces.append((idx, engine.trace_to_lines(trace, algorithm)))
     return tuple(results), failure_traces
@@ -274,3 +296,118 @@ def test_verify_sweep_matches_per_start_runs(algorithm, n):
     assert failure_traces == expected_traces
     if (algorithm, n) == ("gather2-v1", 7):
         assert [r.outcome.token() for r in summary.failures] == ["step-limit"] * 2
+
+
+# --- the exit-code contract under arbitrary argv and file payloads ---
+
+_TABLE_LINES = table_to_text(RuleTable.all_stay()).splitlines()
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(allow_nan=False)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["robots", "x"]), inner),
+    max_leaves=12,
+)
+_deep = st.sampled_from([10, 900, 5000])
+_bytes = st.binary(max_size=40)
+_junk_configs = st.one_of(
+    _bytes,
+    _json_values.map(json.dumps),
+    _json_values.map(lambda v: json.dumps({"robots": v})),
+    st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), max_size=8).map(
+        lambda robots: json.dumps({"robots": [list(r) for r in robots]})
+    ),
+    _deep.map(lambda d: '{"robots": ' + "[" * d + "]" * d + "}"),
+)
+_junk_tables = st.one_of(
+    _bytes,
+    _deep.map(lambda d: "[" * d),
+    st.integers(0, 70).map(lambda k: "\n".join((_TABLE_LINES * 2)[:k])),
+    st.lists(st.sampled_from(_TABLE_LINES + ["000000 up", "0101 E", "x"]), max_size=66).map(
+        "\n".join
+    ),
+)
+
+
+def _mostly(valid, invalid):
+    """Values drawn three times as often from ``valid`` as from ``invalid``."""
+    return st.sampled_from(valid * 3 + invalid)
+
+
+def _valid_or(valid, junk):
+    """Payloads drawn as often from ``valid`` as from ``junk``."""
+    return st.sampled_from([valid, junk]).flatmap(lambda strategy: strategy)
+
+
+_configs = _valid_or(
+    st.sampled_from(enumerate_connected(4) + [gathered_hexagon()]).map(config_to_json),
+    _junk_configs,
+)
+_tables = _valid_or(
+    st.lists(st.sampled_from(ACTIONS), min_size=63, max_size=63).map(
+        lambda actions: table_to_text(RuleTable((None, *actions)))
+    ),
+    _junk_tables,
+)
+_outputs = _mostly(["out", "a/b"], ["blocker", "blocker/x", "missing/out", "."])
+_steps = _mostly(["1", "3", "40"], ["0", "-2", "+5", "x"])
+_algorithms = _mostly(sorted(ALGORITHMS), ["nope"])
+_sizes = _mostly(["1", "3", "5"], ["0", "9", "x"])
+
+
+def _flag(name, values, required=False):
+    """A ``--name value`` pair; unless ``required``, possibly absent."""
+    pair = values.map(lambda v: [f"--{name}", v])
+    return pair if required else st.one_of(st.just([]), pair)
+
+
+def _argv(*parts):
+    """Token lists, fixed or drawn, joined in order into one argv."""
+    drawn = (st.just(p) if isinstance(p, list) else p for p in parts)
+    return st.tuples(*drawn).map(lambda groups: [tok for group in groups for tok in group])
+
+
+_free_tokens = st.lists(st.text("-=abcdeginorstu13 ", max_size=8), max_size=5)
+_argvs = st.one_of(
+    _argv(["enumerate"], _flag("n", _sizes, required=True), _flag("out", _outputs)),
+    _argv(["verify"], _flag("n", _sizes, required=True), _flag("algorithm", _algorithms),
+          _flag("max-steps", _steps), _flag("jobs", _mostly(["1"], ["x"])),
+          _flag("out-dir", _outputs), _flag("format", _mostly(["human", "csv", "json"], ["xml"]))),
+    _argv(["run"], _flag("config", _mostly(["cfg.json"], ["missing.json", "."]), required=True),
+          _flag("algorithm", _algorithms), _flag("max-steps", _steps),
+          _flag("render", _mostly(["none", "ascii", "svg"], ["png"])), _flag("out-dir", _outputs)),
+    _argv(["range1"], _flag("table", _mostly(["rules.tbl"], ["missing.tbl"]), required=True),
+          _flag("config", _mostly(["cfg.json", "fig5a-diagonal", "prop1c-geometry"],
+                                  ["missing.json"]), required=True),
+          _flag("max-steps", _steps), _flag("out-dir", _outputs)),
+    # free tokens after any subcommand; verify keeps --n small, as the last occurrence wins
+    _argv(st.sampled_from([[], ["enumerate"], ["run"], ["range1"], ["dump-guards"], ["nope"]]),
+          _free_tokens),
+    _argv(["verify"], _free_tokens, ["--n", "3"]),
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(argv=_argvs, config=_configs, table=_tables)
+@example(argv=["run", "--config", "cfg.json"], config=b"\xff\xfe[", table="")
+@example(argv=["range1", "--table", "rules.tbl", "--config", "fig5a-diagonal"], config="",
+         table="\n".join(_TABLE_LINES[:63]))
+def test_cli_exit_codes_and_no_traceback(argv, config, table):
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for name, payload in (("cfg.json", config), ("rules.tbl", table)):
+                with open(name, "wb") as fh:
+                    fh.write(payload if isinstance(payload, bytes) else payload.encode())
+            with open("blocker", "w"):
+                pass
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        finally:
+            os.chdir(cwd)
+    assert code in (EXIT_OK, EXIT_FAILURE, EXIT_USAGE)
+    assert "Traceback" not in err.getvalue()
+    if code == EXIT_USAGE:
+        assert "error: " in err.getvalue()

@@ -163,6 +163,8 @@ def test_config_json_rejects_duplicates_and_malformed():
         config_from_json('not json')
     with pytest.raises(ValueError):
         config_from_json('{"robots": [[0.5, 0], [1, 0]]}')
+    with pytest.raises(ValueError, match="not valid JSON"):
+        config_from_json('{"robots": ' + "[" * 5000 + "]" * 5000 + "}")
 
 
 def test_config_json_rejects_bool_coordinates():

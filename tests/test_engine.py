@@ -251,3 +251,15 @@ def test_trace_from_lines_non_object_record_is_value_error():
         bad[record] = "[1, 2]"
         with pytest.raises(ValueError, match="JSON object"):
             trace_from_lines(bad)
+
+
+def test_trace_from_lines_deep_nesting_is_value_error():
+    with pytest.raises(ValueError, match="nested too deeply"):
+        trace_from_lines(["[" * 5000])
+
+
+def test_decisions_are_in_sorted_robot_order():
+    cfg = translate(SE_LINE, (3, -5))
+    decisions = engine.compute_decisions(cfg, decide_move, 2)
+    assert list(decisions) == sorted(cfg)
+    assert run(cfg, decide_move, 2).steps[0].decisions == tuple(decisions.values())
