@@ -1,4 +1,8 @@
-"""Command-line front end: enumeration, tracing, exhaustive verification.
+"""Command-line front end: argument parsing, output formatting and file I/O.
+
+The subcommands call the library (the exhaustive sweep is
+:func:`trigather.verify.verify_sweep`); this module keeps only argparse, the
+summary formats and the reads and writes around those calls.
 
 Exit codes are a stable contract: 0 success, 1 verification failure,
 2 usage or input error.  Handlers raise :class:`UsageError` for bad input and
@@ -10,128 +14,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import config as configs
 from . import engine, gather2, range1, render
+from .verify import ALGORITHMS, VerificationSummary, verify_sweep
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
 
 DEFAULT_OUT_DIR = "trigather-out"
-
-
-def _all_stay(view: engine.View) -> engine.Move:
-    return None
-
-
-# algorithm id -> (decision function, visibility range)
-ALGORITHMS: dict[str, tuple[engine.DecisionFunction, int]] = {
-    gather2.ALGORITHM_ID: (gather2.decide_move, 2),
-    gather2.ALGORITHM_ID_VERBATIM: (gather2.decide_verbatim, 2),
-    "all-stay": (_all_stay, 2),
-}
-
-
-@dataclass(frozen=True)
-class ConfigResult:
-    config_id: int
-    outcome: engine.Outcome
-    steps: int
-    min_connected: bool
-
-    @property
-    def gathered(self) -> bool:
-        return self.outcome.kind == engine.OutcomeKind.GATHERED
-
-
-@dataclass(frozen=True)
-class VerificationSummary:
-    algorithm: str
-    n: int
-    total: int
-    gathered: int
-    failures: tuple[ConfigResult, ...]
-    max_steps_observed: int
-    wall_time: float
-    results: tuple[ConfigResult, ...]
-
-    @property
-    def outcome_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for r in self.results:
-            counts[r.outcome.token()] = counts.get(r.outcome.token(), 0) + 1
-        return counts
-
-
-def verify_sweep(
-    n: int,
-    algorithm: str,
-    max_steps: int = engine.DEFAULT_MAX_STEPS,
-) -> tuple[VerificationSummary, list[tuple[int, list[str]]]]:
-    """Run an algorithm over every enumerated configuration of size n.
-
-    Valid because decisions depend only on the robot-relative view and every
-    connected successor of an n-shape is an enumerated n-shape: each shape is
-    stepped once, and steps-to-gather is its depth below a quiescent gathered
-    shape in the successor graph.  Every other start fails and is re-run
-    with :func:`engine.run` for its outcome and trace.  Results are in
-    canonical enumeration order.
-    """
-    if algorithm not in ALGORITHMS:
-        raise KeyError(f"unknown algorithm {algorithm!r}")
-    if max_steps < 1:
-        raise ValueError("max_steps must be positive")
-    decide, visibility = ALGORITHMS[algorithm]
-    started = time.perf_counter()
-    shapes = configs.enumerate_connected(n)
-    index = {cfg: idx for idx, cfg in enumerate(shapes)}
-    predecessors: list[list[int]] = [[] for _ in shapes]
-    queue: list[int] = []  # quiescent gathered shapes, then breadth-first
-    for idx, cfg in enumerate(shapes):
-        decisions = engine.compute_decisions(cfg, decide, visibility)
-        if all(m is None for m in decisions.values()):
-            if configs.is_gathered(cfg):
-                queue.append(idx)
-            continue
-        successor = engine.apply_decisions(cfg, decisions)
-        if not isinstance(successor, engine.CollisionReport):
-            nxt = index.get(configs.canonicalize(successor))
-            if nxt is not None:
-                predecessors[nxt].append(idx)
-
-    # Breadth-first over reverse edges.  Each shape has one successor, so
-    # each is reached at most once, and cycles are never reached.
-    depth = dict.fromkeys(queue, 0)
-    for idx in queue:
-        for prev in predecessors[idx]:
-            depth[prev] = depth[idx] + 1
-            queue.append(prev)
-
-    gathered_outcome = engine.Outcome(engine.OutcomeKind.GATHERED)
-    results = []
-    failure_traces = []
-    for idx, cfg in enumerate(shapes):
-        if depth.get(idx, max_steps) < max_steps:
-            results.append(ConfigResult(idx, gathered_outcome, depth[idx], True))
-            continue
-        trace = engine.run(cfg, decide, visibility, max_steps)
-        results.append(ConfigResult(idx, trace.outcome, len(trace.steps), trace.min_connected))
-        failure_traces.append((idx, engine.trace_to_lines(trace, algorithm)))
-    summary = VerificationSummary(
-        algorithm=algorithm,
-        n=n,
-        total=len(results),
-        gathered=sum(1 for r in results if r.gathered),
-        failures=tuple(r for r in results if not r.gathered),
-        max_steps_observed=max((r.steps for r in results), default=0),
-        wall_time=time.perf_counter() - started,
-        results=tuple(results),
-    )
-    return summary, failure_traces
 
 
 def summary_csv_rows(summary: VerificationSummary) -> list[str]:
@@ -214,6 +107,8 @@ def _write(path: Path, text: str) -> None:
 
 
 def _cmd_enumerate(ns: argparse.Namespace) -> int:
+    if ns.out:
+        _write(Path(ns.out), "")  # claim --out before enumerating
     shapes = configs.enumerate_connected(ns.n)
     print(f"n={ns.n} count={len(shapes)}")
     if ns.out:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 from .config import Configuration, canonicalize, is_connected, is_gathered
 from .grid import (
@@ -287,12 +287,6 @@ def _move_name(m: Move) -> str:
     return "stay" if m is None else m.name
 
 
-def _move_from_name(name: str) -> Move:
-    if name == "stay":
-        return None
-    return Direction[name]
-
-
 def _dump(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
@@ -339,50 +333,3 @@ def trace_to_lines(trace: Trace, algorithm: str) -> list[str]:
     lines.append(_dump(trailer))
     return lines
 
-
-def trace_from_lines(lines: Iterable[str]) -> tuple[Trace, str]:
-    """Parse the line format back into a trace and its algorithm id."""
-    try:
-        records = [json.loads(line) for line in lines if line.strip()]
-    except RecursionError as exc:
-        raise ValueError(f"trace record nested too deeply: {exc}") from exc
-    if not all(isinstance(rec, dict) for rec in records):
-        raise ValueError("every trace record must be a JSON object")
-    if not records or records[0].get("type") != "header":
-        raise ValueError("trace must start with a header record")
-    if records[-1].get("type") != "trailer":
-        raise ValueError("trace must end with a trailer record")
-    header, trailer = records[0], records[-1]
-    try:
-        initial = frozenset(tuple(r) for r in header["robots"])
-        steps = []
-        for rec in records[1:-1]:
-            if rec.get("type") != "step":
-                raise ValueError(f"unexpected record type {rec.get('type')!r}")
-            steps.append(
-                TraceStep(
-                    tuple(_move_from_name(m) for m in rec["decisions"]),
-                    frozenset(tuple(r) for r in rec["robots"]),
-                    rec["connected"],
-                )
-            )
-        collision = None
-        if "collision" in trailer:
-            collision = CollisionReport(
-                trailer["collision"]["kind"],
-                tuple(
-                    (tuple(coord), _move_from_name(move))
-                    for coord, move in trailer["collision"]["participants"]
-                ),
-            )
-        outcome = Outcome(
-            trailer["outcome"],
-            collision=collision,
-            cycle_length=trailer.get("cycle_length"),
-        )
-        trace = Trace(initial, header["range"], tuple(steps), outcome)
-        if len(trace.steps) != trailer["steps"]:
-            raise ValueError("trailer step count disagrees with recorded steps")
-        return trace, header["algorithm"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed trace record: {exc!r}") from exc

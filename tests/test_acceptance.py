@@ -12,7 +12,7 @@ import pytest
 
 from oracles import count_connected_anchored
 from trigather import engine
-from trigather.cli import main, verify_sweep
+from trigather.cli import main
 from trigather.config import (
     enumerate_connected,
     gathered_hexagon,
@@ -28,6 +28,7 @@ from trigather.range1 import (
     constrained_actions,
     table_to_decision,
 )
+from trigather.verify import verify_sweep
 
 # frozen regression constants, derived from the first verified runs
 MAX_STEPS_OBSERVED = 19

@@ -1,7 +1,5 @@
 """FSYNC execution: views, collisions, runs, trace serialization."""
 
-import json
-
 import pytest
 
 from trigather import engine
@@ -14,12 +12,11 @@ from trigather.engine import (
     observe,
     run,
     step,
-    trace_from_lines,
     trace_to_lines,
 )
 from trigather.gather2 import decide_move
 from trigather.grid import Direction, distance, label_of
-from trigather.range1 import RuleTable, table_to_decision
+from trigather.range1 import BUILTIN_CONFIGS, RuleTable, table_to_decision
 
 E, NE, NW, W, SW, SE = (
     Direction.E, Direction.NE, Direction.NW, Direction.W, Direction.SW, Direction.SE,
@@ -212,50 +209,41 @@ def test_livelock_cycle_resimulates():
     assert state == tr.final
 
 
-def test_trace_lines_round_trip():
-    tr = run(SE_LINE, decide_move, 2)
-    lines = trace_to_lines(tr, "gather2-v1")
-    back, algorithm = trace_from_lines(lines)
-    assert algorithm == "gather2-v1"
-    assert back == tr
-    assert trace_to_lines(back, algorithm) == lines
+# Exact trace bytes: key order, separators and field names are the format.
+GOLDEN_TRACES = {
+    "gathered": (
+        gathered_hexagon(), decide_move, 2, "gather2-v1",
+        ['{"algorithm":"gather2-v1","range":2,'
+         '"robots":[[-1,0],[-1,1],[0,-1],[0,0],[0,1],[1,-1],[1,0]],"type":"header"}',
+         '{"outcome":"gathered","steps":0,"type":"trailer"}'],
+    ),
+    "step": (
+        frozenset({(0, 0), (1, 0)}), table({frozenset({W}): E}), 1, "range1:leave",
+        ['{"algorithm":"range1:leave","range":1,"robots":[[0,0],[1,0]],"type":"header"}',
+         '{"connected":false,"decisions":["stay","E"],"index":1,'
+         '"robots":[[0,0],[2,0]],"type":"step"}',
+         '{"outcome":"disconnected","steps":1,"type":"trailer"}'],
+    ),
+    "collision": (
+        BUILTIN_CONFIGS["prop1a-geometry"].robots,
+        table({frozenset({SE}): SW, frozenset({NE}): NW}), 1, "range1:test",
+        ['{"algorithm":"range1:test","range":1,"robots":[[0,0],[1,-2],[1,-1]],"type":"header"}',
+         '{"collision":{"kind":"same-target","participants":[[[0,0],"SW"],[[1,-2],"NW"]]},'
+         '"outcome":"collision","steps":0,"type":"trailer"}'],
+    ),
+    "livelock": (
+        SE_LINE, all_stay, 1, "all-stay",
+        ['{"algorithm":"all-stay","range":1,'
+         '"robots":[[0,0],[1,-1],[2,-2],[3,-3],[4,-4],[5,-5],[6,-6]],"type":"header"}',
+         '{"cycle_length":1,"outcome":"livelock","steps":0,"type":"trailer"}'],
+    ),
+}
 
 
-def test_trace_lines_round_trip_collision():
-    cfg = frozenset({(0, 0), (1, -1), (1, -2)})
-    f = table({frozenset({SE}): SW, frozenset({NE}): NW})
-    tr = run(cfg, f, 1)
-    assert tr.outcome.kind == OutcomeKind.COLLISION
-    lines = trace_to_lines(tr, "range1:test")
-    back, _ = trace_from_lines(lines)
-    assert back == tr
-
-
-@pytest.mark.parametrize(
-    "field, record",
-    [("robots", 0), ("decisions", 1), ("steps", -1)],
-)
-def test_trace_from_lines_missing_field_is_value_error(field, record):
-    lines = trace_to_lines(run(SE_LINE, decide_move, 2), "gather2-v1")
-    rec = json.loads(lines[record])
-    del rec[field]
-    lines[record] = json.dumps(rec)
-    with pytest.raises(ValueError, match=field):
-        trace_from_lines(lines)
-
-
-def test_trace_from_lines_non_object_record_is_value_error():
-    lines = trace_to_lines(run(SE_LINE, decide_move, 2), "gather2-v1")
-    for record in (0, 1):
-        bad = list(lines)
-        bad[record] = "[1, 2]"
-        with pytest.raises(ValueError, match="JSON object"):
-            trace_from_lines(bad)
-
-
-def test_trace_from_lines_deep_nesting_is_value_error():
-    with pytest.raises(ValueError, match="nested too deeply"):
-        trace_from_lines(["[" * 5000])
+@pytest.mark.parametrize("case", sorted(GOLDEN_TRACES))
+def test_trace_to_lines_golden(case):
+    cfg, decide, visibility, algorithm, expected = GOLDEN_TRACES[case]
+    assert trace_to_lines(run(cfg, decide, visibility), algorithm) == expected
 
 
 def test_decisions_are_in_sorted_robot_order():
