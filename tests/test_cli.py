@@ -9,10 +9,11 @@ import tempfile
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from trigather import cli, verify
+from trigather import cli, engine, verify
 from trigather.cli import ALGORITHMS, EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
 from trigather.config import config_to_json, enumerate_connected, gathered_hexagon
 from trigather.range1 import ACTIONS, RuleTable, table_to_text
+from trigather.verify import ConfigResult, verify_sweep
 
 
 @pytest.fixture()
@@ -189,6 +190,13 @@ def test_cli_calls_the_verify_module():
     assert cli.ALGORITHMS is verify.ALGORITHMS
 
 
+def test_verify_sweep_merges_in_canonical_order():
+    summary, _ = verify_sweep(3, "gather2-v1", max_steps=50)
+    assert summary.total == 11
+    assert [r.config_id for r in summary.results] == list(range(11))
+    assert summary.total == summary.gathered + len(summary.failures)
+
+
 @pytest.mark.parametrize("value", ["0", "-3"])
 @pytest.mark.parametrize(
     "argv",
@@ -257,6 +265,40 @@ def test_deeply_nested_config_exits_2(argv, tmp_path, capsys, monkeypatch):
     assert err.startswith("error: deep.json: ")
     assert "Traceback" not in err
     assert not (tmp_path / "trigather-out").exists()
+
+
+@pytest.mark.parametrize("max_steps", [0, -3])
+def test_verify_sweep_rejects_max_steps_below_one(max_steps):
+    with pytest.raises(ValueError, match="max_steps"):
+        verify_sweep(1, "gather2-v1", max_steps)
+
+
+def per_start_sweep(n, algorithm, max_steps):
+    """The reference verify: one engine.run per enumerated start."""
+    decide, visibility = ALGORITHMS[algorithm]
+    results = []
+    failure_traces = []
+    for idx, cfg in enumerate(enumerate_connected(n)):
+        trace = engine.run(cfg, decide, visibility, max_steps)
+        results.append(ConfigResult(idx, trace.outcome, len(trace.steps), trace.min_connected))
+        if trace.outcome.kind != engine.OutcomeKind.GATHERED:
+            failure_traces.append((idx, engine.trace_to_lines(trace, algorithm)))
+    return tuple(results), failure_traces
+
+
+# gather2-v1 at 19 steps: the two 19-step starts hit the step limit
+BUDGETS = {"gather2-v1": 19, "gather2-verbatim": 500, "all-stay": 5}
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("algorithm", sorted(BUDGETS))
+def test_verify_sweep_matches_per_start_runs(algorithm, n):
+    summary, failure_traces = verify_sweep(n, algorithm, BUDGETS[algorithm])
+    results, expected_traces = per_start_sweep(n, algorithm, BUDGETS[algorithm])
+    assert summary.results == results
+    assert failure_traces == expected_traces
+    if (algorithm, n) == ("gather2-v1", 7):
+        assert [r.outcome.token() for r in summary.failures] == ["step-limit"] * 2
 
 
 # --- the exit-code contract under arbitrary argv and file payloads ---

@@ -1,55 +1,12 @@
-"""Exhaustive verification: the successor-table sweep against per-start runs."""
+"""Exhaustive verification: the verbatim listing's outcome counts, as the docs state them."""
 
 import pathlib
 
 import pytest
 
-from trigather import engine
-from trigather.config import enumerate_connected
-from trigather.verify import ALGORITHMS, ConfigResult, verify_sweep
+from trigather.verify import verify_sweep
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-
-
-def test_verify_sweep_merges_in_canonical_order():
-    summary, _ = verify_sweep(3, "gather2-v1", max_steps=50)
-    assert summary.total == 11
-    assert [r.config_id for r in summary.results] == list(range(11))
-    assert summary.total == summary.gathered + len(summary.failures)
-
-
-@pytest.mark.parametrize("max_steps", [0, -3])
-def test_verify_sweep_rejects_max_steps_below_one(max_steps):
-    with pytest.raises(ValueError, match="max_steps"):
-        verify_sweep(1, "gather2-v1", max_steps)
-
-
-def per_start_sweep(n, algorithm, max_steps):
-    """The reference verify: one engine.run per enumerated start."""
-    decide, visibility = ALGORITHMS[algorithm]
-    results = []
-    failure_traces = []
-    for idx, cfg in enumerate(enumerate_connected(n)):
-        trace = engine.run(cfg, decide, visibility, max_steps)
-        results.append(ConfigResult(idx, trace.outcome, len(trace.steps), trace.min_connected))
-        if trace.outcome.kind != engine.OutcomeKind.GATHERED:
-            failure_traces.append((idx, engine.trace_to_lines(trace, algorithm)))
-    return tuple(results), failure_traces
-
-
-# gather2-v1 at 19 steps: the two 19-step starts hit the step limit
-BUDGETS = {"gather2-v1": 19, "gather2-verbatim": 500, "all-stay": 5}
-
-
-@pytest.mark.parametrize("n", range(1, 8))
-@pytest.mark.parametrize("algorithm", sorted(BUDGETS))
-def test_verify_sweep_matches_per_start_runs(algorithm, n):
-    summary, failure_traces = verify_sweep(n, algorithm, BUDGETS[algorithm])
-    results, expected_traces = per_start_sweep(n, algorithm, BUDGETS[algorithm])
-    assert summary.results == results
-    assert failure_traces == expected_traces
-    if (algorithm, n) == ("gather2-v1", 7):
-        assert [r.outcome.token() for r in summary.failures] == ["step-limit"] * 2
 
 
 # the printed listing replayed verbatim: 392 disconnected + 1365 livelock:1 starts
