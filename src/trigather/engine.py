@@ -4,7 +4,9 @@ Every cycle, each robot observes the occupancy of the nodes within its
 visibility range (a :class:`View`, in label space), a pure decision
 function maps the view to a move or a stay, and all moves are applied
 simultaneously.  Views are interned by occupancy: equal observations
-return one shared :class:`View`, which is immutable.
+return one shared :class:`View`, which is immutable.  A view carries its
+occupancy as a bit ``mask``; bits 0..5 are the neighbors E, NE, NW, W, SW,
+SE at either range, which is the index of a range-1 rule table.
 
 Three simultaneous-move events are collisions and terminate the run with
 a report instead of a successor state:
@@ -22,13 +24,14 @@ an all-stay cycle that is not gathered is a livelock of length 1.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 from .config import Configuration, canonicalize, is_connected, is_gathered
 from .grid import (
     Direction,
     LABEL_OFFSET,
+    Label,
     RANGE1_LABELS,
     RANGE2_LABELS,
     TriCoord,
@@ -38,14 +41,27 @@ from .grid import (
 # A decision: a Direction, or None for "stay at the current node".
 Move = Direction | None
 
-# The labels a view of each visibility range can mention, in bit order.
-_LABELS: dict[int, tuple] = {1: RANGE1_LABELS, 2: RANGE1_LABELS + RANGE2_LABELS}
-_VIEW_DOMAIN: dict[int, frozenset] = {v: frozenset(labels) for v, labels in _LABELS.items()}
-# One (da, db, bit) probe per label: bit i is set when label i is occupied.
-_PROBES: dict[int, tuple] = {
-    v: tuple((*LABEL_OFFSET[lbl], 1 << i) for i, lbl in enumerate(labels))
-    for v, labels in _LABELS.items()
+# The labels a view of each visibility range can mention, with their mask
+# bits: bit i is label i of RANGE1_LABELS + RANGE2_LABELS, so bits 0..5 are
+# the six neighbors in DIRECTIONS order at both ranges.
+_BITS: dict[int, dict[Label, int]] = {
+    v: {lbl: 1 << i for i, lbl in enumerate(labels)}
+    for v, labels in ((1, RANGE1_LABELS), (2, RANGE1_LABELS + RANGE2_LABELS))
 }
+# One (da, db, bit) probe per label.
+_PROBES: dict[int, tuple] = {
+    v: tuple((*LABEL_OFFSET[lbl], bit) for lbl, bit in bits.items())
+    for v, bits in _BITS.items()
+}
+
+
+def _bits_of(visibility: int) -> dict[Label, int]:
+    # bool and float 1.0 hash like 1; only a plain int names a range.
+    bits = _BITS.get(visibility) if type(visibility) is int else None
+    if bits is None:
+        raise ValueError(f"visibility range must be 1 or 2, got {visibility}")
+    return bits
+
 
 DEFAULT_MAX_STEPS = 500
 
@@ -56,19 +72,23 @@ class View:
 
     ``occupied`` holds exactly the labels (never (0, 0), the robot itself)
     that carry a robot.  Robots are transparent: occupancy of a label is
-    independent of other labels on the same axis.
+    independent of other labels on the same axis.  ``mask`` is derived
+    from ``occupied``: bit i is set when label i of
+    ``RANGE1_LABELS + RANGE2_LABELS`` is occupied.
     """
 
     visibility: int
     occupied: frozenset
+    mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        domain = _VIEW_DOMAIN.get(self.visibility)
-        if domain is None:
-            raise ValueError(f"visibility range must be 1 or 2, got {self.visibility}")
-        if not self.occupied <= domain:
-            bad = sorted(self.occupied - domain)
+        bits = _bits_of(self.visibility)
+        occupied = frozenset(self.occupied)
+        bad = sorted(lbl for lbl in occupied if lbl not in bits)
+        if bad:
             raise ValueError(f"labels {bad} are outside visibility range {self.visibility}")
+        object.__setattr__(self, "occupied", occupied)
+        object.__setattr__(self, "mask", sum(bits[lbl] for lbl in occupied))
 
 
 DecisionFunction = Callable[[View], Move]
@@ -137,7 +157,7 @@ class Trace:
 
 # Interned views per visibility range, keyed by occupancy mask; at most
 # 2^6 and 2^18 entries.  Views are immutable, so every caller may share one.
-_VIEWS: dict[int, dict[int, View]] = {v: {} for v in _LABELS}
+_VIEWS: dict[int, dict[int, View]] = {v: {} for v in _BITS}
 
 
 def observe(cfg: Configuration, robot: TriCoord, visibility: int) -> View:
@@ -147,19 +167,16 @@ def observe(cfg: Configuration, robot: TriCoord, visibility: int) -> View:
     """
     if robot not in cfg:
         raise ValueError(f"robot {robot!r} is not part of the configuration")
-    probes = _PROBES.get(visibility)
-    if probes is None:
-        raise ValueError(f"visibility range must be 1 or 2, got {visibility}")
+    bits = _bits_of(visibility)
     a, b = robot
     mask = 0
-    for da, db, bit in probes:
+    for da, db, bit in _PROBES[visibility]:
         if (a + da, b + db) in cfg:
             mask |= bit
     views = _VIEWS[visibility]
     view = views.get(mask)
     if view is None:
-        labels = _LABELS[visibility]
-        occupied = frozenset(lbl for i, lbl in enumerate(labels) if mask >> i & 1)
+        occupied = frozenset(lbl for lbl, bit in bits.items() if mask & bit)
         view = views[mask] = View(visibility, occupied)
     return view
 

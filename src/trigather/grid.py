@@ -36,28 +36,13 @@ class Direction(Enum):
     SE = (1, -1)
 
 
-# Canonical direction order; range-1 view bitmasks index into this.
-DIRECTIONS: tuple[Direction, ...] = (
-    Direction.E,
-    Direction.NE,
-    Direction.NW,
-    Direction.W,
-    Direction.SW,
-    Direction.SE,
-)
-
-_OPPOSITE = {
-    Direction.E: Direction.W,
-    Direction.NE: Direction.SW,
-    Direction.NW: Direction.SE,
-    Direction.W: Direction.E,
-    Direction.SW: Direction.NE,
-    Direction.SE: Direction.NW,
-}
+# Canonical direction order; bit i of a range-1 view mask is DIRECTIONS[i].
+DIRECTIONS: tuple[Direction, ...] = tuple(Direction)
 
 
 def opposite(d: Direction) -> Direction:
-    return _OPPOSITE[d]
+    da, db = d.value
+    return Direction((-da, -db))
 
 
 def neighbor(c: TriCoord, d: Direction) -> TriCoord:
@@ -118,7 +103,7 @@ def _labels_at(dist: int) -> tuple[Label, ...]:
 
 # The 6 labels at distance 1 and the 12 at distance 2; together these are
 # the full domain a range-2 view can mention (excluding self at (0,0)).
-RANGE1_LABELS: tuple[Label, ...] = tuple(label_of((0, 0), n) for n in neighbors((0, 0)))
+RANGE1_LABELS: tuple[Label, ...] = tuple(label_of((0, 0), d.value) for d in DIRECTIONS)
 RANGE2_LABELS: tuple[Label, ...] = _labels_at(2)
 
 LABEL_OFFSET: dict[Label, TriCoord] = {

@@ -26,6 +26,7 @@ neighbor has no information to move on without risking disconnection.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice, product
 from typing import Iterable, Mapping
 
 from .config import Configuration, is_connected, make_configuration
@@ -39,7 +40,7 @@ from .engine import (
     View,
     run,
 )
-from .grid import DIRECTIONS, Direction, RANGE1_LABELS, opposite
+from .grid import DIRECTIONS, Direction, opposite
 
 # Action order used for serialization and for search enumeration.
 ACTIONS: tuple[Move, ...] = (None,) + DIRECTIONS
@@ -86,24 +87,16 @@ class RuleTable:
         return cls(tuple(actions))
 
 
-_NEIGHBOR_LABELS = frozenset(RANGE1_LABELS)
-
-# Every set of occupied neighbor labels -> its table index (bit i is RANGE1_LABELS[i]).
-_MASK_OF_NEIGHBORS: dict[frozenset, int] = {
-    frozenset(lbl for i, lbl in enumerate(RANGE1_LABELS) if mask >> i & 1): mask
-    for mask in range(TABLE_SIZE)
-}
-
-
 def table_to_decision(table: RuleTable) -> DecisionFunction:
-    """Wrap a table as a decision function reading only the six neighbor labels."""
+    """Wrap a table as a decision function reading only the six neighbor labels.
+
+    Bits 0..5 of a view's mask are the neighbors in ``DIRECTIONS`` order at
+    either visibility range, which is the table index.
+    """
     actions = table.actions
 
     def decide(view: View) -> Move:
-        occupied = view.occupied
-        if view.visibility != 1:
-            occupied = occupied & _NEIGHBOR_LABELS
-        return actions[_MASK_OF_NEIGHBORS[occupied]]
+        return actions[view.mask & 0b111111]
 
     return decide
 
@@ -215,11 +208,13 @@ def search_tables(
 
     Pinned entries (``constraints``, keyed by view bitmask) are kept as
     given; every free view ranges over its constrained action set.
-    Completions are enumerated depth-first in a fixed lexicographic order
-    (ascending bitmask, stay before the directions) so reports are
-    reproducible.  Each completion is run against the configurations in
-    order and cut off at its first failure.  A completion surviving every
-    configuration is reported as not refuted by this set — nothing more.
+    Completions are enumerated in the lexicographic order of their free
+    entries (ascending bitmask, each over ``constrained_actions`` with stay
+    before the directions), so reports are reproducible; ``exhausted`` says
+    whether the budget covered them all.  Each completion is run against
+    the configurations in order and cut off at its first failure.  A
+    completion surviving every configuration is reported as not refuted by
+    this set — nothing more.
     """
     if budget < 1:
         raise ValueError("budget must be positive")
@@ -234,40 +229,24 @@ def search_tables(
     if pinned.get(0, None) is not None:
         raise ValueError("the all-empty view must map to stay")
 
-    free = [m for m in range(TABLE_SIZE) if m not in pinned]
-    choices = {m: constrained_actions(m) for m in free}
-    results: list[CompletionResult] = []
-    exhausted = True
-
-    def evaluate(actions: list[Move]) -> CompletionResult:
-        table = RuleTable(tuple(actions))
-        for idx, cfg in enumerate(config_list):
-            verdict = check_table(table, cfg, max_steps)
-            if verdict.outcome.kind != OutcomeKind.GATHERED:
-                return CompletionResult(table, idx, verdict.outcome)
-        return CompletionResult(table, None, None)
-
-    def dfs(pos: int, actions: list[Move]) -> bool:
-        """Returns False when the budget is exhausted."""
-        nonlocal exhausted
-        if len(results) >= budget:
-            exhausted = False
-            return False
-        if pos == len(free):
-            results.append(evaluate(actions))
-            return True
-        mask = free[pos]
-        for action in choices[mask]:
-            actions[mask] = action
-            if not dfs(pos + 1, actions):
-                return False
-        return True
-
-    base = [None] * TABLE_SIZE
+    actions: list[Move] = [None] * TABLE_SIZE
     for mask, action in pinned.items():
-        base[mask] = action
-    dfs(0, base)
-    return SearchReport(tuple(results), exhausted)
+        actions[mask] = action
+    free = [m for m in range(TABLE_SIZE) if m not in pinned]
+    completions = product(*(constrained_actions(m) for m in free))
+    results: list[CompletionResult] = []
+    for choice in islice(completions, budget):
+        for mask, action in zip(free, choice):
+            actions[mask] = action
+        table = RuleTable(tuple(actions))
+        result = CompletionResult(table, None, None)
+        for idx, cfg in enumerate(config_list):
+            outcome = check_table(table, cfg, max_steps).outcome
+            if outcome.kind != OutcomeKind.GATHERED:
+                result = CompletionResult(table, idx, outcome)
+                break
+        results.append(result)
+    return SearchReport(tuple(results), next(completions, None) is None)
 
 
 # --- built-in configuration library ---

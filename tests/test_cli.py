@@ -4,6 +4,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -12,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from trigather import cli, engine, verify
 from trigather.cli import ALGORITHMS, EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
 from trigather.config import config_to_json, enumerate_connected, gathered_hexagon
+from trigather.gather2 import dump_guards
 from trigather.range1 import ACTIONS, RuleTable, table_to_text
 from trigather.verify import ConfigResult, verify_sweep
 
@@ -177,6 +180,24 @@ def test_dump_guards_prints_table(capsys):
     out = capsys.readouterr().out
     assert out.startswith("guard table gather2-v1")
     assert "branch lines 31-33" in out
+
+
+def test_module_entry_point_in_a_subprocess(tmp_path):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src}
+
+    def trigather(*args):
+        return subprocess.run(
+            [sys.executable, "-m", "trigather", *args],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+        )
+
+    dump = trigather("dump-guards")
+    assert dump.returncode == EXIT_OK
+    assert dump.stdout == dump_guards()
+    too_many = trigather("verify", "--n", "9")
+    assert too_many.returncode == EXIT_USAGE
+    assert "Traceback" not in too_many.stderr and "error: " in too_many.stderr
 
 
 def test_usage_error_exit_code():

@@ -15,8 +15,8 @@ from trigather.engine import (
     trace_to_lines,
 )
 from trigather.gather2 import decide_move
-from trigather.grid import Direction, distance, label_of
-from trigather.range1 import BUILTIN_CONFIGS, RuleTable, table_to_decision
+from trigather.grid import Direction, distance, label_of, neighbor
+from trigather.range1 import BUILTIN_CONFIGS, RuleTable, mask_of, table_to_decision
 
 E, NE, NW, W, SW, SE = (
     Direction.E, Direction.NE, Direction.NW, Direction.W, Direction.SW, Direction.SE,
@@ -36,10 +36,21 @@ def table(moves):
 def test_view_validation():
     with pytest.raises(ValueError):
         View(3, frozenset())
+    for visibility in (True, 1.0):
+        with pytest.raises(ValueError, match="must be 1 or 2"):
+            View(visibility, frozenset())
     with pytest.raises(ValueError):
         View(1, frozenset({(4, 0)}))  # a range-2 label in a range-1 view
     v = View(1, frozenset({(2, 0)}))
     assert (2, 0) in v.occupied and (-2, 0) not in v.occupied
+
+
+def test_view_built_from_a_set_is_frozen_and_decides_alike():
+    loose = View(2, {(2, 0), (3, 1)})
+    exact = View(2, frozenset({(2, 0), (3, 1)}))
+    assert type(loose.occupied) is frozenset
+    assert loose == exact and hash(loose) == hash(exact) and loose.mask == exact.mask
+    assert decide_move(loose) is decide_move(exact)
 
 
 def test_observe_single_neighbor():
@@ -57,6 +68,9 @@ def test_observe_rejects_bad_visibility():
         observe(frozenset({(0, 0)}), (0, 0), 3)
     with pytest.raises(ValueError):
         observe(frozenset({(0, 0)}), (0, 0), 0)
+    for visibility in (True, 1.0):
+        with pytest.raises(ValueError, match="must be 1 or 2"):
+            observe(frozenset({(0, 0)}), (0, 0), visibility)
 
 
 def test_observe_matches_labelled_reference_and_interns_views():
@@ -73,6 +87,10 @@ def test_observe_matches_labelled_reference_and_interns_views():
                 assert view.visibility == visibility
                 assert view.occupied == expected
                 assert interned.setdefault((visibility, expected), view) is view
+                assert engine._VIEWS[visibility][view.mask] is view
+                assert View(visibility, view.occupied).mask == view.mask
+                near = [d for d in Direction if neighbor(robot, d) in cfg]
+                assert view.mask & 0b111111 == mask_of(near)
     assert len([v for v, _ in interned if v == 1]) == 63  # all but the empty view
 
 

@@ -107,20 +107,33 @@ def test_screen_blocks_splitting_move():
 
 
 def test_exhaustive_view_audit():
-    """All 2^18 views: guard exclusivity and move legality.
+    """All 2^18 views: guard exclusivity, move legality, base dispatch.
 
     Within a selected branch at most one rule may match (the chain order
     therefore never adjudicates between live guards), and a matched rule
-    never targets an occupied label.
+    never targets an occupied label.  The chain enters the branch of the
+    base ``base_label`` reports, so the two base exceptions need no
+    separate dispatch: an empty (2, 0) base selects lines 1-3; an
+    undetermined base or an occupied (2, 0) selects lines 31-33.
     """
+    owner = {b: branch.lines for branch in GUARD_TABLE for b in branch.bases}
+    assert len(owner) == sum(len(branch.bases) for branch in GUARD_TABLE)
+    assert all(owner[b] == "31-33" for b in [(0, 0), (1, 1), (1, -1), (2, 0)])
     multi = 0
     for bits in itertools.product((0, 1), repeat=18):
         occ = frozenset(l for l, b in zip(ALL_LABELS, bits) if b)
-        _, matched = matching_rules(occ)
+        branch, matched = matching_rules(occ)
         if len(matched) >= 2:
             multi += 1
         if matched:
             assert _MOVE_LABEL[matched[0].move] not in occ
+        base = base_label(View(2, occ))
+        if base == (2, 0) and base not in occ:
+            assert branch.lines == "1-3"
+        elif base is None:
+            assert branch.lines == "31-33"
+        else:
+            assert branch.lines == owner[base]
     assert multi == 0
 
 

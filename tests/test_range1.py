@@ -207,6 +207,24 @@ def test_search_vacuous_config_set():
     assert len(report.results) == 5
 
 
+def test_search_order_and_budget():
+    # two free views: {E} (3 constrained actions) and {E, NE} (all 7)
+    low, high = mask_of([E]), mask_of([E, NE])
+    pinned = {m: None for m in range(64) if m not in (low, high)}
+    pinned[mask_of([SE])] = SW
+    expected = [
+        (a, b) for a in constrained_actions(low) for b in constrained_actions(high)
+    ]
+    assert len(expected) == 21
+    for budget in (1, 20, 21, 22, 100):
+        report = search_tables(pinned, [], budget=budget)
+        got = [(r.table.actions[low], r.table.actions[high]) for r in report.results]
+        assert got == expected[:budget]
+        assert report.exhausted == (budget >= len(expected))
+        for r in report.results:
+            assert all(r.table.actions[m] is a for m, a in pinned.items())
+
+
 def test_search_seed_against_prop1_geometries():
     # pin everything except the two seed moves and two free views;
     # every explored completion must fail on some built-in geometry
