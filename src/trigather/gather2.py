@@ -48,13 +48,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .engine import Move, View
-from .grid import Direction, Label, RANGE1_LABELS, RANGE2_LABELS, label_of
+from .engine import _BITS, Move, View
+from .grid import DIRECTIONS, Direction, Label, RANGE1_LABELS, RANGE2_LABELS
 
 ALGORITHM_ID = "gather2-v1"
 ALGORITHM_ID_VERBATIM = "gather2-verbatim"
-
-_LABEL_DOMAIN = frozenset(RANGE1_LABELS + RANGE2_LABELS)
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,7 +100,7 @@ class Branch:
 def _clause(robots: Iterable[Label] = (), empties: Iterable[Label] = ()) -> GuardClause:
     robots = frozenset(robots)
     empties = frozenset(empties)
-    stray = (robots | empties) - _LABEL_DOMAIN
+    stray = (robots | empties) - _BITS[2].keys()  # the labels a range-2 view can mention
     if stray:
         raise ValueError(f"guard mentions labels outside the range-2 domain: {sorted(stray)}")
     if robots & empties:
@@ -340,7 +338,7 @@ _LABEL_ADJ: dict[Label, frozenset] = {
     a: frozenset(b for b in _WINDOW if (b[0] - a[0], b[1] - a[1]) in RANGE1_LABELS)
     for a in _WINDOW
 }
-_MOVE_LABEL: dict[Direction, Label] = {d: label_of((0, 0), d.value) for d in Direction}
+_MOVE_LABEL: dict[Direction, Label] = dict(zip(DIRECTIONS, RANGE1_LABELS))
 
 
 def _window_components(nodes: frozenset) -> dict[Label, int]:

@@ -64,6 +64,61 @@ class VerificationSummary:
         return dict(Counter(r.outcome.token() for r in self.results))
 
 
+# Where a shape's decisions lead, in the shape's own frame: the outcome of a
+# quiescent shape, a CollisionReport, a disconnected successor set, or
+# (index, da, db) for a connected successor, which is shapes[index]
+# translated by (da, db), the successor's minimum.
+_Edge = engine.Outcome | engine.CollisionReport | configs.Configuration | tuple[int, int, int]
+
+
+def _walk(
+    shapes: list[configs.Configuration],
+    decided: list[tuple[engine.Move, ...]],
+    edges: list[_Edge],
+    start: int,
+    visibility: int,
+    max_steps: int,
+) -> engine.Trace:
+    """The trace :func:`engine.run` records from ``shapes[start]``, read off the table.
+
+    ``offset`` translates the frame of the current shape into the start's;
+    termination follows :func:`engine.run` case for case.
+    """
+    steps: list[engine.TraceStep] = []
+    seen = {start: 0}
+    at, offset = start, (0, 0)
+    while True:
+        edge = edges[at]
+        if isinstance(edge, engine.Outcome):
+            outcome = edge
+            break
+        if isinstance(edge, engine.CollisionReport):
+            oa, ob = offset
+            moved = tuple(((a + oa, b + ob), m) for (a, b), m in edge.participants)
+            outcome = engine.Outcome(
+                engine.OutcomeKind.COLLISION, collision=engine.CollisionReport(edge.kind, moved)
+            )
+            break
+        if isinstance(edge, frozenset):
+            steps.append(engine.TraceStep(decided[at], configs.translate(edge, offset), False))
+            outcome = engine.Outcome(engine.OutcomeKind.DISCONNECTED)
+            break
+        ordered = decided[at]
+        at, da, db = edge
+        offset = (offset[0] + da, offset[1] + db)
+        steps.append(engine.TraceStep(ordered, configs.translate(shapes[at], offset), True))
+        if at in seen:
+            outcome = engine.Outcome(
+                engine.OutcomeKind.LIVELOCK, cycle_length=len(steps) - seen[at]
+            )
+            break
+        seen[at] = len(steps)
+        if len(steps) >= max_steps:
+            outcome = engine.Outcome(engine.OutcomeKind.STEP_LIMIT)
+            break
+    return engine.Trace(shapes[start], visibility, tuple(steps), outcome)
+
+
 def verify_sweep(
     n: int,
     algorithm: str,
@@ -73,10 +128,12 @@ def verify_sweep(
 
     Valid because decisions depend only on the robot-relative view and every
     connected successor of an n-shape is an enumerated n-shape: each shape is
-    stepped once, and steps-to-gather is its depth below a quiescent gathered
-    shape in the successor graph.  Every other start fails and is re-run
-    with :func:`engine.run` for its outcome and trace.  Results are in
-    canonical enumeration order.
+    stepped once into a successor table, and steps-to-gather is its depth
+    below a quiescent gathered shape in that table.  Every other start fails,
+    and its outcome and trace are read off the table by walking it from that
+    start.  :func:`engine.run` stays the reference path: the differential
+    tests compare every result and trace line against one run per start.
+    Results are in canonical enumeration order.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be positive")
@@ -84,19 +141,36 @@ def verify_sweep(
     started = time.perf_counter()
     shapes = configs.enumerate_connected(n)
     index = {cfg: idx for idx, cfg in enumerate(shapes)}
+    gathered = engine.Outcome(engine.OutcomeKind.GATHERED)
+    stalled = engine.Outcome(engine.OutcomeKind.LIVELOCK, cycle_length=1)
+    # Per shape: its decisions in sorted robot order, and where they lead.
+    decided: list[tuple[engine.Move, ...]] = []
+    edges: list[_Edge] = []
+    distinct: dict = {}  # shared decision tuples: about 200 distinct among 3652 at n=7
     predecessors: list[list[int]] = [[] for _ in shapes]
     queue: list[int] = []  # quiescent gathered shapes, then breadth-first
     for idx, cfg in enumerate(shapes):
         decisions = engine.compute_decisions(cfg, decide, visibility)
-        if all(m is None for m in decisions.values()):
+        ordered = tuple(decisions.values())
+        decided.append(distinct.setdefault(ordered, ordered))
+        if all(m is None for m in ordered):
             if configs.is_gathered(cfg):
                 queue.append(idx)
+                edges.append(gathered)
+            else:
+                edges.append(stalled)
             continue
         successor = engine.apply_decisions(cfg, decisions)
-        if not isinstance(successor, engine.CollisionReport):
-            nxt = index.get(configs.canonicalize(successor))
-            if nxt is not None:
-                predecessors[nxt].append(idx)
+        if isinstance(successor, engine.CollisionReport):
+            edges.append(successor)
+            continue
+        # All n robots remain, so a successor outside index is disconnected.
+        nxt = index.get(configs.canonicalize(successor))
+        if nxt is None:
+            edges.append(successor)
+        else:
+            predecessors[nxt].append(idx)
+            edges.append((nxt, *min(successor)))
 
     # Breadth-first over reverse edges.  Each shape has one successor, so
     # each is reached at most once, and cycles are never reached.
@@ -106,14 +180,13 @@ def verify_sweep(
             depth[prev] = depth[idx] + 1
             queue.append(prev)
 
-    gathered_outcome = engine.Outcome(engine.OutcomeKind.GATHERED)
     results = []
     failure_traces = []
-    for idx, cfg in enumerate(shapes):
+    for idx in range(len(shapes)):
         if depth.get(idx, max_steps) < max_steps:
-            results.append(ConfigResult(idx, gathered_outcome, depth[idx], True))
+            results.append(ConfigResult(idx, gathered, depth[idx], True))
             continue
-        trace = engine.run(cfg, decide, visibility, max_steps)
+        trace = _walk(shapes, decided, edges, idx, visibility, max_steps)
         results.append(ConfigResult(idx, trace.outcome, len(trace.steps), trace.min_connected))
         failure_traces.append((idx, engine.trace_to_lines(trace, algorithm)))
     summary = VerificationSummary(algorithm, n, tuple(results), time.perf_counter() - started)

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -15,7 +16,14 @@ from trigather import cli, engine, verify
 from trigather.cli import ALGORITHMS, EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
 from trigather.config import config_to_json, enumerate_connected, gathered_hexagon
 from trigather.gather2 import dump_guards
-from trigather.range1 import ACTIONS, RuleTable, table_to_text
+from trigather.range1 import (
+    ACTIONS,
+    TABLE_SIZE,
+    RuleTable,
+    constrained_actions,
+    table_to_decision,
+    table_to_text,
+)
 from trigather.verify import ConfigResult, verify_sweep
 
 
@@ -320,6 +328,42 @@ def test_verify_sweep_matches_per_start_runs(algorithm, n):
     assert failure_traces == expected_traces
     if (algorithm, n) == ("gather2-v1", 7):
         assert [r.outcome.token() for r in summary.failures] == ["step-limit"] * 2
+
+
+# The gather2 algorithms never collide at n<=7; random range-1 tables do,
+# also after a few steps, where the walk translates the participants.
+@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("seed", [2, 3])
+def test_verify_sweep_matches_per_start_runs_of_colliding_tables(seed, n, monkeypatch):
+    rng = random.Random(seed)
+    table = RuleTable(tuple(rng.choice(constrained_actions(m)) for m in range(TABLE_SIZE)))
+    monkeypatch.setitem(verify.ALGORITHMS, "range1-table", (table_to_decision(table), 1))
+    late_collisions = 0
+    for max_steps in (1, 2, 3, 500):
+        summary, failure_traces = verify_sweep(n, "range1-table", max_steps)
+        results, expected_traces = per_start_sweep(n, "range1-table", max_steps)
+        assert summary.results == results
+        assert failure_traces == expected_traces
+        late_collisions += sum(r.outcome.kind == engine.OutcomeKind.COLLISION and r.steps > 0
+                               for r in results)
+    assert late_collisions > 0 or n < 3
+
+
+@pytest.mark.skipif(
+    not os.environ.get("TRIGATHER_SLOW"),
+    reason="n=8 per-start runs, ~12s each; set TRIGATHER_SLOW=1 to run",
+)
+@pytest.mark.parametrize(
+    ("algorithm", "max_steps"),
+    [("gather2-v1", 500), ("gather2-v1", 7), ("gather2-verbatim", 500)],
+)
+def test_verify_sweep_matches_per_start_runs_at_n8(algorithm, max_steps):
+    summary, failure_traces = verify_sweep(8, algorithm, max_steps)
+    results, expected_traces = per_start_sweep(8, algorithm, max_steps)
+    assert summary.results == results
+    assert failure_traces == expected_traces
+    if (algorithm, max_steps) == ("gather2-v1", 500):
+        assert summary.outcome_counts["collision:same-target"] == 321
 
 
 # --- the exit-code contract under arbitrary argv and file payloads ---
