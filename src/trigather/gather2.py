@@ -341,46 +341,32 @@ _LABEL_ADJ: dict[Label, frozenset] = {
 _MOVE_LABEL: dict[Direction, Label] = dict(zip(DIRECTIONS, RANGE1_LABELS))
 
 
-def _window_components(nodes: frozenset) -> dict[Label, int]:
-    comp: dict[Label, int] = {}
-    idx = 0
-    todo = set(nodes)
-    while todo:
-        seed = todo.pop()
-        stack = [seed]
-        comp[seed] = idx
-        while stack:
-            x = stack.pop()
-            for y in _LABEL_ADJ[x]:
-                if y in todo:
-                    todo.discard(y)
-                    comp[y] = idx
-                    stack.append(y)
-        idx += 1
-    return comp
+def _reach(nodes: frozenset, start: Label) -> set:
+    """The labels of ``nodes`` connected to ``start`` through window links."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        fresh = (_LABEL_ADJ[stack.pop()] & nodes) - seen
+        seen |= fresh
+        stack.extend(fresh)
+    return seen
 
 
 def preserves_visible_connectivity(occupied: frozenset, move: Direction) -> bool:
     """False when stepping in ``move`` would split the robots the mover sees.
 
-    Evaluated inside the mover's window: any pair of visible robots (the
-    mover included) that is connected through occupied window nodes before
-    the move must remain so after it.  Links through nodes outside the
-    window are invisible to the mover, so losing a visible link is treated
-    as a disconnection risk.
+    The documented screen asks that any pair of visible robots (the mover
+    included) connected through occupied window nodes before the move
+    stay connected after it.  Links through nodes outside the window are
+    invisible to the mover, so losing a visible link counts as a
+    disconnection risk.  Only the mover's own group can split: every
+    other visible group keeps its nodes and links, and adding the target
+    can only merge groups.  So the screen asks one thing: the mover's
+    group, with the mover moved to its target, is still connected.
     """
     target = _MOVE_LABEL[move]
-    before = occupied | {(0, 0)}
-    after = occupied | {target}
-    pre = _window_components(before)
-    post = _window_components(after)
-    members = sorted(before)
-    for i, u in enumerate(members):
-        pu = post[target if u == (0, 0) else u]
-        for v in members[i + 1 :]:
-            if pre[u] == pre[v] and pu != post[target if v == (0, 0) else v]:
-                return False
-    return True
+    group = (_reach(occupied | {(0, 0)}, (0, 0)) - {(0, 0)}) | {target}
+    return _reach(group, target) == group
 
 
 # --- layer 3: completion rules for views the screened chain leaves quiescent ---
@@ -440,57 +426,40 @@ COMPLETION_RULES: tuple[tuple[frozenset, Direction], ...] = (
 _COMPLETION = dict(COMPLETION_RULES)
 
 
-def selected_branch(occupied: frozenset) -> Branch:
-    """The branch the dispatch chain enters for this occupancy."""
-    base = _plain_base(occupied)
-    for branch in GUARD_TABLE:
-        if branch.selects(base, occupied):
-            return branch
-    raise AssertionError("dispatch chain is total; no branch selected")
-
-
 def matching_rules(occupied: frozenset) -> tuple[Branch, tuple[MoveRule, ...]]:
-    """The selected branch and every one of its rules whose guard holds.
+    """The branch the dispatch chain enters and every one of its rules whose guard holds.
 
     The chain only ever fires the first match; this reports all matches
     so the guard-exclusivity audit can document overlaps.
     """
-    branch = selected_branch(occupied)
-    return branch, tuple(rule for rule in branch.rules if rule.holds(occupied))
-
-
-def _chain_move(occupied: frozenset, screened: bool) -> Move:
-    branch = selected_branch(occupied)
-    for rule in branch.rules:
-        if rule.holds(occupied):
-            if not screened:
-                return rule.move
-            if preserves_visible_connectivity(occupied, rule.move):
-                return rule.move
-    return None
-
-
-def _decide(occupied: frozenset) -> Move:
-    move = _chain_move(occupied, screened=True)
-    if move is not None:
-        return move
-    return _COMPLETION.get(occupied)
-
-
-def _decide_verbatim(occupied: frozenset) -> Move:
-    return _chain_move(occupied, screened=False)
+    base = _plain_base(occupied)
+    for branch in GUARD_TABLE:
+        if branch.selects(base, occupied):
+            return branch, tuple(rule for rule in branch.rules if rule.holds(occupied))
+    raise AssertionError("dispatch chain is total; no branch selected")
 
 
 # Views repeat heavily across a verification sweep; memoizing the pure
 # occupancy -> move maps is the engine's main speedup.
-_decide_cached = lru_cache(maxsize=None)(_decide)
-_decide_verbatim_cached = lru_cache(maxsize=None)(_decide_verbatim)
+@lru_cache(maxsize=None)
+def _decide(occupied: frozenset) -> Move:
+    _, matched = matching_rules(occupied)
+    for rule in matched:
+        if preserves_visible_connectivity(occupied, rule.move):
+            return rule.move
+    return _COMPLETION.get(occupied)
+
+
+@lru_cache(maxsize=None)
+def _decide_verbatim(occupied: frozenset) -> Move:
+    _, matched = matching_rules(occupied)
+    return matched[0].move if matched else None
 
 
 def decide_move(view: View) -> Move:
     """The move (or None to stay) the gathering rule picks for a view."""
     _require_range2(view)
-    return _decide_cached(view.occupied)
+    return _decide(view.occupied)
 
 
 def decide_verbatim(view: View) -> Move:
@@ -501,7 +470,7 @@ def decide_verbatim(view: View) -> Move:
     configurations.
     """
     _require_range2(view)
-    return _decide_verbatim_cached(view.occupied)
+    return _decide_verbatim(view.occupied)
 
 
 # --- auditable dump of the compiled table ---

@@ -10,12 +10,15 @@ counts connected shapes up to translation.
 
 For small n an even blunter oracle is kept alongside: enumerate every
 n-subset of a full disc and deduplicate by canonical form.
+
+The connectivity-screen oracle states the range-2 screen as the
+``dump-guards`` text does, pair by pair, on grid coordinates.
 """
 
 from itertools import combinations
 
 from trigather.config import canonicalize, is_connected
-from trigather.grid import distance
+from trigather.grid import coord_of_label, distance, neighbor, neighbors
 
 
 def disc(radius, center=(0, 0)):
@@ -53,3 +56,41 @@ def count_connected_full_disc(n, radius=None):
         if is_connected(cells):
             shapes.add(canonicalize(cells))
     return len(shapes)
+
+
+def _components(cells):
+    """Component index of every cell, by flood fill over grid neighbours."""
+    comp = {}
+    for seed in cells:
+        if seed in comp:
+            continue
+        comp[seed] = seed
+        stack = [seed]
+        while stack:
+            for nb in neighbors(stack.pop()):
+                if nb in cells and nb not in comp:
+                    comp[nb] = seed
+                    stack.append(nb)
+    return comp
+
+
+def screen_all_pairs(occupied, move):
+    """The connectivity screen as documented: every pair of robots in the
+    mover's window (mover included) that is connected through occupied
+    window nodes before the move must remain connected after it.
+
+    ``occupied`` holds the labels of the robots the mover at (0, 0) sees.
+    """
+    me = (0, 0)
+    target = neighbor(me, move)
+    before = {coord_of_label(me, lbl) for lbl in occupied} | {me}
+    after = (before - {me}) | {target}
+    moved = {cell: cell for cell in before}
+    moved[me] = target
+    pre = _components(before)
+    post = _components(after)
+    # pairs connected before share a component before; they must all share one after
+    post_of_pre = {}
+    for cell in before:
+        post_of_pre.setdefault(pre[cell], set()).add(post[moved[cell]])
+    return all(len(comps) == 1 for comps in post_of_pre.values())

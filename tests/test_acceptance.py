@@ -12,7 +12,7 @@ import pytest
 
 from oracles import count_connected_anchored
 from trigather import engine
-from trigather.cli import main
+from trigather.cli import main, summary_csv_rows
 from trigather.config import (
     enumerate_connected,
     gathered_hexagon,
@@ -34,6 +34,7 @@ from trigather.verify import verify_sweep
 MAX_STEPS_OBSERVED = 19
 DEFAULT_STEP_BUDGET = engine.DEFAULT_MAX_STEPS  # 500
 DUMP_SHA256 = "62baf1f1b67870888927c1606b8947d386dfecaf1282efd6e85947ee7a852152"
+SUMMARY_CSV_SHA256 = "802c95b0a00b62e0114fcedb5a70df54866b18317df0f584da3d0da7d28f0dd5"
 
 
 def report(criterion, detail):
@@ -79,6 +80,13 @@ def test_criterion_3_exhaustive_gathering(sweep):
     assert all(r.min_connected for r in summary.results)
     assert all(r.outcome.kind == OutcomeKind.GATHERED for r in summary.results)
     report(3, f"3652/3652 gathered, connectivity held at every step, {elapsed:.1f}s")
+
+
+def test_summary_csv_bytes_pinned(sweep):
+    """Per-start outcomes and step counts, not only their aggregates, are frozen."""
+    summary, _, _ = sweep
+    text = "\n".join(summary_csv_rows(summary)) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == SUMMARY_CSV_SHA256
 
 
 def test_criterion_4_quiescence_fixed_point():

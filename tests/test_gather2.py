@@ -1,9 +1,11 @@
 """The gathering rule: base determination, guard chain, audits, dump."""
 
 import itertools
+import os
 
 import pytest
 
+from oracles import screen_all_pairs
 from trigather import engine, gather2
 from trigather.config import enumerate_connected, gathered_hexagon
 from trigather.engine import View, observe
@@ -19,13 +21,28 @@ from trigather.gather2 import (
     matching_rules,
     preserves_visible_connectivity,
 )
-from trigather.grid import Direction, RANGE1_LABELS, RANGE2_LABELS
+from trigather.grid import DIRECTIONS, Direction, RANGE1_LABELS, RANGE2_LABELS
 
 ALL_LABELS = RANGE1_LABELS + RANGE2_LABELS
+MAX_STEPS_OBSERVED = 19  # gather2-v1 over every connected 7-robot start
 
 
 def view(*occupied):
     return View(2, frozenset(occupied))
+
+
+@pytest.fixture(scope="module")
+def n7_views():
+    """Each range-2 view of the 7-robot shapes, with the shapes showing it.
+
+    gather2-v1 keeps every run connected, so these are exactly the views
+    its runs reach.
+    """
+    shapes = {}
+    for cfg in enumerate_connected(7):
+        for robot in cfg:
+            shapes.setdefault(observe(cfg, robot, 2).occupied, []).append(cfg)
+    return shapes
 
 
 def test_base_label_exception_empty_40():
@@ -137,21 +154,61 @@ def test_exhaustive_view_audit():
     assert multi == 0
 
 
-def test_screen_filters_exactly_the_documented_lines():
-    """Recompute which rule lines the connectivity screen filters.
-
-    gather2-v1 keeps every run connected, so the views of the robots of
-    the enumerated 7-robot shapes are exactly the views its runs reach.
-    """
-    views = {observe(cfg, r, 2).occupied for cfg in enumerate_connected(7) for r in cfg}
+def test_screen_filters_exactly_the_documented_lines(n7_views):
+    """Recompute which rule lines the connectivity screen filters."""
     filtered = set()
-    for occ in views:
+    for occ in n7_views:
         _, matched = matching_rules(occ)
         if matched and not preserves_visible_connectivity(occ, matched[0].move):
             filtered.add(matched[0].line)
     assert filtered == {8, 19, 29}
     assert "filters rule lines 8, 19 and 29," in dump_guards()
     assert "lines (8, 19 and 29)" in " ".join(gather2.__doc__.split())
+
+
+def _empty_target_moves(occupied):
+    return [d for d in DIRECTIONS if _MOVE_LABEL[d] not in occupied]
+
+
+def test_screen_matches_all_pairs_definition_on_reached_views(n7_views):
+    """The one-group screen equals the documented all-pairs screen where it is used."""
+    pairs = [(occ, d) for occ in n7_views for d in _empty_target_moves(occ)]
+    assert (len(n7_views), len(pairs)) == (5188, 16860)
+    pairs += [(occ, d) for occ, _ in COMPLETION_RULES for d in _empty_target_moves(occ)]
+    for occ, d in pairs:
+        assert preserves_visible_connectivity(occ, d) == screen_all_pairs(occ, d), (occ, d)
+
+
+@pytest.mark.skipif(
+    not os.environ.get("TRIGATHER_SLOW"),
+    reason="2^18 views x 6 moves against the oracle, ~100s; set TRIGATHER_SLOW=1 to run",
+)
+def test_screen_matches_all_pairs_definition_on_every_view():
+    for bits in itertools.product((0, 1), repeat=18):
+        occ = frozenset(l for l, b in zip(ALL_LABELS, bits) if b)
+        for d in DIRECTIONS:
+            assert preserves_visible_connectivity(occ, d) == screen_all_pairs(occ, d), (occ, d)
+
+
+def test_every_completion_rule_is_necessary(n7_views):
+    """Dropping any one of the 44 completion rules breaks the n=7 sweep.
+
+    For each rule, the decision function that stays on exactly its view
+    must leave some start ungathered after 19 steps.  Runs differ from
+    gather2-v1 only once a robot sees the dropped view, so the witnesses
+    are looked for among the starts that show it from the outset.
+    """
+    for occupied, _ in COMPLETION_RULES:
+        def dropped(v, occupied=occupied):
+            return None if v.occupied == occupied else decide_move(v)
+
+        failing = []
+        for cfg in dict.fromkeys(n7_views.get(occupied, ())):
+            trace = engine.run(cfg, dropped, 2, max_steps=MAX_STEPS_OBSERVED + 1)
+            gathered = trace.outcome.kind == engine.OutcomeKind.GATHERED
+            if not (gathered and len(trace.steps) <= MAX_STEPS_OBSERVED):
+                failing.append(cfg)
+        assert failing, f"completion rule for {sorted(occupied)} is redundant"
 
 
 def test_guard_table_shape():

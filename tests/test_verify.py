@@ -1,9 +1,11 @@
 """Exhaustive verification: the verbatim listing's outcome counts, as the docs state them."""
 
+import hashlib
 import pathlib
 
 import pytest
 
+from trigather.cli import summary_csv_rows
 from trigather.verify import verify_sweep
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -11,12 +13,32 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 # the printed listing replayed verbatim: 392 disconnected + 1365 livelock:1 starts
 VERBATIM_OUTCOMES = {"gathered": 1895, "disconnected": 392, "livelock:1": 1365}
+# the bytes `trigather verify --n 7 --algorithm gather2-verbatim` writes
+VERBATIM_SUMMARY_CSV_SHA256 = "e332550b47a00bd5ef8c6b4c47ce76e1c30130f220932cfde8bb47c1e57fce98"
+# every failures/config-<id>.trace, as its name line then its bytes, in config order
+VERBATIM_TRACES_SHA256 = "087519c118dcbb5c4264070bade33261358fb9b99103edb9a8745e6e15cafd89"
 
 
-def test_verbatim_listing_strands_or_stalls_1757_starts():
-    summary, failure_traces = verify_sweep(7, "gather2-verbatim")
+@pytest.fixture(scope="module")
+def verbatim():
+    return verify_sweep(7, "gather2-verbatim")
+
+
+def test_verbatim_listing_strands_or_stalls_1757_starts(verbatim):
+    summary, failure_traces = verbatim
     assert summary.outcome_counts == VERBATIM_OUTCOMES
     assert (summary.total, len(summary.failures), len(failure_traces)) == (3652, 1757, 1757)
+
+
+def test_verbatim_summary_and_traces_pinned(verbatim):
+    summary, failure_traces = verbatim
+    text = "\n".join(summary_csv_rows(summary)) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == VERBATIM_SUMMARY_CSV_SHA256
+    digest = hashlib.sha256()
+    for idx, lines in failure_traces:
+        digest.update(f"config-{idx}.trace\n".encode())
+        digest.update(("\n".join(lines) + "\n").encode())
+    assert digest.hexdigest() == VERBATIM_TRACES_SHA256
 
 
 @pytest.mark.parametrize("doc", ["README.md", "docs/transcription-notes.md"])
