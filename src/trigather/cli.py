@@ -6,13 +6,16 @@ summary formats and the reads and writes around those calls.
 
 Exit codes are a stable contract: 0 success, 1 verification failure,
 2 usage or input error.  Handlers raise :class:`UsageError` for bad input and
-unwritable outputs; :func:`main` alone reports it.
+unwritable outputs; :func:`main` alone reports it.  A closed standard output
+changes neither: once its reader has gone, further output is discarded.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import re
 import sys
 from pathlib import Path
 
@@ -49,26 +52,41 @@ def _summary_json(summary: VerificationSummary) -> dict:
     }
 
 
+def _discard_stdout() -> None:
+    """Point standard output at the null device, so pending and later writes succeed."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+
+
+def _print(text: str, end: str = "\n") -> None:
+    """``print`` to standard output, which may have been closed by its reader."""
+    try:
+        print(text, end=end)
+    except BrokenPipeError:
+        _discard_stdout()
+
+
 def _print_summary(summary: VerificationSummary, fmt: str) -> None:
     if fmt == "csv":
-        print("\n".join(summary_csv_rows(summary)))
+        _print("\n".join(summary_csv_rows(summary)))
         return
     if fmt == "json":
-        print(json.dumps(_summary_json(summary), sort_keys=True))
+        _print(json.dumps(_summary_json(summary), sort_keys=True))
         return
     if summary.n != 7:
-        print("informational: gathering is defined for 7 robots;"
-              " outcomes reported without assertion")
-    print(
+        _print("informational: gathering is defined for 7 robots;"
+               " outcomes reported without assertion")
+    _print(
         f"algorithm={summary.algorithm} n={summary.n} total={summary.total}"
         f" gathered={summary.gathered} failures={len(summary.failures)}"
         f" max-steps-observed={summary.max_steps_observed}"
         f" wall-time={summary.wall_time:.1f}s"
     )
     counts = summary.outcome_counts
-    print("outcomes: " + " ".join(f"{k}={counts[k]}" for k in sorted(counts)))
+    _print("outcomes: " + " ".join(f"{k}={counts[k]}" for k in sorted(counts)))
     for r in summary.failures:
-        print(f"failure: config-{r.config_id} outcome={r.outcome.token()} steps={r.steps}")
+        _print(f"failure: config-{r.config_id} outcome={r.outcome.token()} steps={r.steps}")
 
 
 class UsageError(Exception):
@@ -106,11 +124,30 @@ def _write(path: Path, text: str) -> None:
         raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
+def _remove_earlier(directory: Path, prefix: str, suffix: str) -> None:
+    """Delete the files named ``<prefix><digits><suffix>`` in ``directory``.
+
+    A run calls this before it writes its own artifacts of that pattern, so
+    the directory holds only the latest run's; other files stay.
+    """
+    try:
+        names = os.listdir(directory)
+    except (FileNotFoundError, NotADirectoryError):
+        return
+    artifact = re.compile(re.escape(prefix) + "[0-9]+" + re.escape(suffix))
+    for name in names:
+        if artifact.fullmatch(name):
+            try:
+                (directory / name).unlink()
+            except OSError as exc:
+                raise UsageError(f"cannot remove {directory / name}: {exc}") from exc
+
+
 def _cmd_enumerate(ns: argparse.Namespace) -> int:
     if ns.out:
         _write(Path(ns.out), "")  # claim --out before enumerating
     shapes = configs.enumerate_connected(ns.n)
-    print(f"n={ns.n} count={len(shapes)}")
+    _print(f"n={ns.n} count={len(shapes)}")
     if ns.out:
         _write(Path(ns.out), "".join(configs.config_to_json(c) + "\n" for c in shapes))
     return EXIT_OK
@@ -120,6 +157,7 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
     out_dir = _claim_dir(ns.out_dir)
     summary, failure_traces = verify_sweep(ns.n, ns.algorithm, ns.max_steps)
     _write(out_dir / "summary.csv", "\n".join(summary_csv_rows(summary)) + "\n")
+    _remove_earlier(out_dir / "failures", "config-", ".trace")
     if failure_traces:
         fail_dir = _claim_dir(out_dir / "failures")
         for idx, lines in failure_traces:
@@ -136,12 +174,13 @@ def _cmd_run(ns: argparse.Namespace) -> int:
     stem = Path(ns.config).stem or "run"
     trace_path = out_dir / f"{stem}.trace"
     _write(trace_path, "\n".join(engine.trace_to_lines(trace, ns.algorithm)) + "\n")
+    _remove_earlier(out_dir, f"{stem}-step", ".svg")
     if ns.render == "svg":
         for i, doc in enumerate(render.svg_trace(trace)):
             _write(out_dir / f"{stem}-step{i:03d}.svg", doc)
     if ns.render == "ascii":
-        print(render.ascii_trace(trace), end="")
-    print(f"outcome={trace.outcome.token()} steps={len(trace.steps)} trace={trace_path}")
+        _print(render.ascii_trace(trace), end="")
+    _print(f"outcome={trace.outcome.token()} steps={len(trace.steps)} trace={trace_path}")
     return EXIT_OK
 
 
@@ -157,12 +196,12 @@ def _cmd_range1(ns: argparse.Namespace) -> int:
     verdict = range1.check_table(table, cfg, ns.max_steps)
     lines = engine.trace_to_lines(verdict.trace, f"range1:{Path(ns.table).name}")
     _write(out_dir / "range1.trace", "\n".join(lines) + "\n")
-    print(f"outcome={verdict.outcome.token()} steps={len(verdict.trace.steps)}")
+    _print(f"outcome={verdict.outcome.token()} steps={len(verdict.trace.steps)}")
     return EXIT_OK
 
 
 def _cmd_dump_guards(ns: argparse.Namespace) -> int:
-    print(gather2.dump_guards(), end="")
+    _print(gather2.dump_guards(), end="")
     return EXIT_OK
 
 
@@ -223,6 +262,9 @@ def main(argv: list[str] | None = None) -> int:
         ns = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    except BrokenPipeError:  # --help into a closed pipe; argparse before 3.11 lets it out
+        _discard_stdout()
+        return EXIT_OK
     try:
         return ns.func(ns)
     except UsageError as exc:
@@ -231,7 +273,12 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    code = main()
+    try:
+        sys.stdout.flush()  # here rather than at exit, where a closed pipe is an error
+    except BrokenPipeError:
+        _discard_stdout()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -9,15 +9,15 @@ disconnection, livelock), and offers a bounded search over completions of
 a partial table.  It deliberately proves nothing: it is falsification
 infrastructure for hand-picked tables and configurations.
 
-Structural constraints available for pruning (all derivable from
-collision/disconnection avoidance in the line configurations shipped in
-``BUILTIN_CONFIGS``):
-
-- a robot seeing exactly one opposite pair of neighbors must stay,
-- a robot seeing exactly one neighbor may only stay or move to one of the
-  two directions flanking that neighbor,
-- a robot seeing exactly one 120-degree pair may only stay or move to the
-  single direction between them.
+The structural constraint used for pruning is one rule on grid
+adjacency.  A robot that sees one neighbor, or two neighbors not adjacent
+to each other, may only stay or move to a node adjacent to every neighbor
+it sees: so it stays between an opposite pair, moves to one of the two
+nodes flanking a lone neighbor, or to the single node between a
+120-degree pair.  Its moves are listed after stay, counterclockwise from
+just after its first visible neighbor in ``DIRECTIONS`` order; search
+enumeration and seeded table draws follow that order.  Every other
+nonempty view may take any of the seven actions.
 
 The all-empty view is always constrained to stay: a robot with no visible
 neighbor has no information to move on without risking disconnection.
@@ -40,7 +40,7 @@ from .engine import (
     View,
     run,
 )
-from .grid import DIRECTIONS, Direction, opposite
+from .grid import DIRECTIONS, Direction, neighbor, neighbors
 
 # Action order used for serialization and for search enumeration.
 ACTIONS: tuple[Move, ...] = (None,) + DIRECTIONS
@@ -71,6 +71,9 @@ class RuleTable:
     def __post_init__(self) -> None:
         if len(self.actions) != TABLE_SIZE:
             raise ValueError(f"rule table needs {TABLE_SIZE} actions, got {len(self.actions)}")
+        for mask, action in enumerate(self.actions):
+            if action is not None and not isinstance(action, Direction):
+                raise ValueError(f"mask {mask:06b}: {action!r} is neither stay (None) nor a Direction")
         if self.actions[0] is not None:
             raise ValueError("the all-empty view must map to stay")
 
@@ -103,49 +106,31 @@ def table_to_decision(table: RuleTable) -> DecisionFunction:
 
 # --- structural constraints ---
 
-_OPPOSITE_PAIR_MASKS = tuple(
-    sorted(mask_of((d, opposite(d))) for d in (Direction.E, Direction.NE, Direction.NW))
-)
+_ORIGIN = (0, 0)
 
-# Flanking directions of a single visible neighbor: the two moves that
-# keep that neighbor adjacent.
-SINGLE_NEIGHBOR_FLANKS: dict[Direction, tuple[Direction, Direction]] = {
-    Direction.E: (Direction.NE, Direction.SE),
-    Direction.SE: (Direction.E, Direction.SW),
-    Direction.SW: (Direction.SE, Direction.W),
-    Direction.W: (Direction.SW, Direction.NW),
-    Direction.NW: (Direction.W, Direction.NE),
-    Direction.NE: (Direction.NW, Direction.E),
-}
 
-# The single move between a 120-degree pair that keeps both adjacent.
-PAIR_BISECTOR: dict[frozenset, Direction] = {
-    frozenset({Direction.E, Direction.SW}): Direction.SE,
-    frozenset({Direction.SE, Direction.W}): Direction.SW,
-    frozenset({Direction.SW, Direction.NW}): Direction.W,
-    frozenset({Direction.W, Direction.NE}): Direction.NW,
-    frozenset({Direction.NW, Direction.E}): Direction.NE,
-    frozenset({Direction.NE, Direction.SE}): Direction.E,
-}
+def _derive_constrained_actions(mask: int) -> tuple[Move, ...]:
+    dirs = [d for i, d in enumerate(DIRECTIONS) if mask >> i & 1]
+    if not dirs:
+        return (None,)
+    seen = [neighbor(_ORIGIN, d) for d in dirs]
+    if len(seen) > 2 or (len(seen) == 2 and seen[1] in neighbors(seen[0])):
+        return ACTIONS
+    after = DIRECTIONS.index(dirs[0]) + 1
+    scan = DIRECTIONS[after:] + DIRECTIONS[:after]
+    return (None,) + tuple(
+        d for d in scan if all(neighbor(_ORIGIN, d) in neighbors(s) for s in seen)
+    )
+
+
+_CONSTRAINED_ACTIONS = tuple(_derive_constrained_actions(m) for m in range(TABLE_SIZE))
 
 
 def constrained_actions(mask: int) -> tuple[Move, ...]:
-    """Actions a view may take under the structural constraints.
-
-    Views not covered by any constraint may take any of the 7 actions.
-    """
-    dirs = dirs_of_mask(mask)
-    if not dirs:
-        return (None,)
-    if mask in _OPPOSITE_PAIR_MASKS:
-        return (None,)
-    if len(dirs) == 1:
-        (d,) = dirs
-        return (None,) + SINGLE_NEIGHBOR_FLANKS[d]
-    bisector = PAIR_BISECTOR.get(dirs)
-    if bisector is not None:
-        return (None, bisector)
-    return ACTIONS
+    """Actions a view may take under the structural constraint (module docstring)."""
+    if not 0 <= mask < TABLE_SIZE:
+        raise ValueError(f"view bitmask out of range: {mask}")
+    return _CONSTRAINED_ACTIONS[mask]
 
 
 def satisfies_constraints(table: RuleTable) -> bool:

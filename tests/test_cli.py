@@ -208,6 +208,60 @@ def test_module_entry_point_in_a_subprocess(tmp_path):
     assert "Traceback" not in too_many.stderr and "error: " in too_many.stderr
 
 
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_keeps_the_exit_code_and_prints_no_traceback(tmp_path, unbuffered):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = src
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    cases = [
+        (["verify", "--n", "7", "--algorithm", algorithm, "--out-dir", str(tmp_path / algorithm)],
+         expected)
+        for algorithm, expected in (("gather2-v1", EXIT_OK), ("gather2-verbatim", EXIT_FAILURE))
+    ]
+    for argv, expected in cases + [(["--help"], EXIT_OK)]:
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the command starts
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "trigather", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, text=True,
+            )
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (expected, ""), argv
+
+
+def test_reused_verify_out_dir_holds_only_the_latest_traces(tmp_path, capsys):
+    out = tmp_path / "o"
+    failures = out / "failures"
+    assert main(["verify", "--algorithm", "gather2-verbatim", "--out-dir", str(out)]) == EXIT_FAILURE
+    assert len(list(failures.glob("config-*.trace"))) == 1757
+    for name in ("notes.txt", "config-x.trace"):  # not the tool's names: kept
+        (failures / name).write_text("kept\n")
+    assert main(["verify", "--out-dir", str(out)]) == EXIT_OK
+    assert "gathered=3652 failures=0" in capsys.readouterr().out
+    assert sorted(p.name for p in failures.iterdir()) == ["config-x.trace", "notes.txt"]
+
+
+def test_reused_run_out_dir_holds_only_the_latest_frames(line_file, tmp_path, capsys):
+    out = tmp_path / "o"
+    argv = ["run", "--config", str(line_file), "--out-dir", str(out)]
+    assert main(argv + ["--render", "svg"]) == EXIT_OK
+    assert len(list(out.glob("line-step*.svg"))) == 18
+    for name in ("line-stepper-step000.svg", "line-step01x.svg"):  # not this run's names: kept
+        (out / name).write_text("kept\n")
+    assert main(argv + ["--render", "svg", "--max-steps", "2"]) == EXIT_OK
+    trailer = json.loads((out / "line.trace").read_text().splitlines()[-1])
+    assert trailer["steps"] == 2
+    kept = ["line-step01x.svg", "line-stepper-step000.svg", "line.trace"]
+    frames = [f"line-step{i:03d}.svg" for i in range(3)]
+    assert sorted(p.name for p in out.iterdir()) == sorted(frames + kept)
+    assert main(argv) == EXIT_OK  # no frames rendered: none left over
+    assert sorted(p.name for p in out.iterdir()) == kept
+
+
 def test_usage_error_exit_code():
     assert main([]) == EXIT_USAGE
     assert main(["enumerate"]) == EXIT_USAGE  # missing --n
@@ -349,6 +403,7 @@ def test_verify_sweep_matches_per_start_runs_of_colliding_tables(seed, n, monkey
     assert late_collisions > 0 or n < 3
 
 
+@pytest.mark.slow
 @pytest.mark.skipif(
     not os.environ.get("TRIGATHER_SLOW"),
     reason="n=8 per-start runs, ~12s each; set TRIGATHER_SLOW=1 to run",

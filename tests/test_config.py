@@ -132,6 +132,7 @@ def test_enumerate_matches_anchored_oracle(n):
     assert len(enumerate_connected(n)) == count_connected_anchored(n)
 
 
+@pytest.mark.slow
 @pytest.mark.skipif(
     not os.environ.get("TRIGATHER_SLOW"),
     reason="~100s brute force; set TRIGATHER_SLOW=1 to run",

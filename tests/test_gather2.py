@@ -179,6 +179,7 @@ def test_screen_matches_all_pairs_definition_on_reached_views(n7_views):
         assert preserves_visible_connectivity(occ, d) == screen_all_pairs(occ, d), (occ, d)
 
 
+@pytest.mark.slow
 @pytest.mark.skipif(
     not os.environ.get("TRIGATHER_SLOW"),
     reason="2^18 views x 6 moves against the oracle, ~100s; set TRIGATHER_SLOW=1 to run",

@@ -1,5 +1,6 @@
 """Range-1 rule tables: format, constraints, replay, bounded search."""
 
+import hashlib
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from trigather.grid import (
     DIRECTIONS,
     RANGE2_LABELS,
     Direction,
+    distance,
     label_of,
     neighbor,
     neighbors,
@@ -19,9 +21,7 @@ from trigather.grid import (
 from trigather.range1 import (
     ACTIONS,
     BUILTIN_CONFIGS,
-    PAIR_BISECTOR,
     RuleTable,
-    SINGLE_NEIGHBOR_FLANKS,
     check_table,
     constrained_actions,
     dirs_of_mask,
@@ -102,23 +102,63 @@ def test_text_format_rejects_malformed():
         table_from_text("\n".join(bad))
 
 
+def test_table_rejects_actions_that_are_not_moves():
+    with pytest.raises(ValueError, match="mask 000001"):
+        RuleTable((None,) + ("E",) * 63)
+    with pytest.raises(ValueError, match="mask 100000"):
+        RuleTable.from_moves({frozenset({SE}): "SW"})
+    with pytest.raises(ValueError, match="mask 000010"):
+        search_tables({m: None for m in range(64)} | {mask_of([NE]): 1}, [], budget=1)
+
+
 def test_constrained_actions():
     assert constrained_actions(0) == (None,)
-    for d, flanks in SINGLE_NEIGHBOR_FLANKS.items():
-        assert constrained_actions(mask_of([d])) == (None,) + flanks
+    flanks = {E: (NE, SE), SE: (E, SW), SW: (SE, W), W: (SW, NW), NW: (W, NE), NE: (NW, E)}
+    for d, pair in flanks.items():
+        assert constrained_actions(mask_of([d])) == (None,) + pair
     for d in (E, NE, NW):
         assert constrained_actions(mask_of([d, opposite(d)])) == (None,)
-    for pair, bisector in PAIR_BISECTOR.items():
+    bisectors = {(E, SW): SE, (SE, W): SW, (SW, NW): W, (W, NE): NW, (NW, E): NE, (NE, SE): E}
+    for pair, bisector in bisectors.items():
         assert constrained_actions(mask_of(pair)) == (None, bisector)
     # a 60-degree pair is unconstrained
     assert constrained_actions(mask_of([E, NE])) == ACTIONS
+    for mask in (-1, 64):
+        with pytest.raises(ValueError, match="out of range"):
+            constrained_actions(mask)
 
 
 def test_single_neighbor_flanks_keep_neighbor_adjacent():
-    for d, flanks in SINGLE_NEIGHBOR_FLANKS.items():
+    for d in DIRECTIONS:
+        stay, *flanks = constrained_actions(mask_of([d]))
+        assert stay is None and len(flanks) == 2
         anchor = neighbor((0, 0), d)
         for f in flanks:
             assert neighbor((0, 0), f) in neighbors(anchor)
+
+
+def test_constraint_is_adjacency_on_every_mask():
+    """Constrained views allow exactly the moves keeping every neighbor adjacent."""
+    for mask in range(64):
+        seen = [neighbor((0, 0), d) for d in dirs_of_mask(mask)]
+        allowed = constrained_actions(mask)
+        adjacent_pair = any(distance(u, v) == 1 for u in seen for v in seen)
+        assert (allowed == ACTIONS) == (len(seen) >= 3 or adjacent_pair), mask
+        if allowed == ACTIONS or not seen:
+            continue
+        assert allowed[0] is None and None not in allowed[1:]
+        for d in DIRECTIONS:
+            keeps = all(distance(neighbor((0, 0), d), s) == 1 for s in seen)
+            assert (d in allowed) == keeps, (mask, d)
+
+
+def test_constrained_action_order_pinned():
+    """Seeded table draws and search order depend on each tuple's order."""
+    names = [
+        tuple("stay" if a is None else a.name for a in constrained_actions(m)) for m in range(64)
+    ]
+    digest = hashlib.sha256(repr(names).encode()).hexdigest()
+    assert digest == "8dac6a488edb389da4739f9f5631a43474a9c5bf3e4319736a5ac102f8ab0b06"
 
 
 def test_builtin_configs_are_connected():
