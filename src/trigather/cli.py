@@ -155,11 +155,15 @@ def _cmd_enumerate(ns: argparse.Namespace) -> int:
 
 def _cmd_verify(ns: argparse.Namespace) -> int:
     out_dir = _claim_dir(ns.out_dir)
+    _write(out_dir / "summary.csv", "")  # claim the outputs before sweeping
+    fail_dir = out_dir / "failures"
+    if fail_dir.exists() and not fail_dir.is_dir():
+        raise UsageError(f"cannot write to {fail_dir}: not a directory")
     summary, failure_traces = verify_sweep(ns.n, ns.algorithm, ns.max_steps)
     _write(out_dir / "summary.csv", "\n".join(summary_csv_rows(summary)) + "\n")
-    _remove_earlier(out_dir / "failures", "config-", ".trace")
+    _remove_earlier(fail_dir, "config-", ".trace")
     if failure_traces:
-        fail_dir = _claim_dir(out_dir / "failures")
+        _claim_dir(fail_dir)
         for idx, lines in failure_traces:
             _write(fail_dir / f"config-{idx}.trace", "\n".join(lines) + "\n")
     _print_summary(summary, ns.format)

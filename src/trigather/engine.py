@@ -238,6 +238,27 @@ def step(
     return apply_decisions(cfg, compute_decisions(cfg, decide, visibility))
 
 
+def transition(
+    cfg: Configuration, decide: DecisionFunction, visibility: int
+) -> tuple[tuple[Move, ...], Outcome | Configuration]:
+    """One Look-Compute-Move cycle of ``cfg``, classified.
+
+    Returns the decisions in sorted robot order and either the ``Outcome``
+    that ends a run at ``cfg`` (all stay: gathered on a hexagon, else
+    ``livelock:1``; or a collision) or the successor, connected or not.
+    """
+    decisions = compute_decisions(cfg, decide, visibility)
+    ordered = tuple(decisions.values())
+    if all(m is None for m in ordered):
+        if is_gathered(cfg):
+            return ordered, Outcome(OutcomeKind.GATHERED)
+        return ordered, Outcome(OutcomeKind.LIVELOCK, cycle_length=1)
+    result = apply_decisions(cfg, decisions)
+    if isinstance(result, CollisionReport):
+        return ordered, Outcome(OutcomeKind.COLLISION, collision=result)
+    return ordered, result
+
+
 def run(
     cfg: Configuration,
     decide: DecisionFunction,
@@ -247,11 +268,10 @@ def run(
     """Iterate cycles until gathering, failure, livelock, or the step cap.
 
     Termination:
-    - gathered: every robot stays and the configuration is gathered
-      (quiescence; all-stay steps are never recorded),
-    - livelock: every robot stays but the configuration is not gathered
-      (length 1), or the canonical form of the configuration repeats,
-    - collision / disconnected: on first occurrence,
+    - the outcome :func:`transition` classifies: gathered, ``livelock:1``
+      or a collision (all-stay steps are never recorded),
+    - disconnected: on the first disconnected successor,
+    - livelock: the canonical form of the configuration repeats,
     - step-limit: ``max_steps`` recorded steps without any of the above.
     """
     if max_steps < 1:
@@ -265,17 +285,9 @@ def run(
     current = initial
     outcome: Outcome | None = None
     while outcome is None:
-        decisions = compute_decisions(current, decide, visibility)
-        ordered = tuple(decisions.values())
-        if all(m is None for m in ordered):
-            if is_gathered(current):
-                outcome = Outcome(OutcomeKind.GATHERED)
-            else:
-                outcome = Outcome(OutcomeKind.LIVELOCK, cycle_length=1)
-            break
-        result = apply_decisions(current, decisions)
-        if isinstance(result, CollisionReport):
-            outcome = Outcome(OutcomeKind.COLLISION, collision=result)
+        ordered, result = transition(current, decide, visibility)
+        if isinstance(result, Outcome):
+            outcome = result
             break
         connected = is_connected(result)
         steps.append(TraceStep(ordered, result, connected))

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .engine import _BITS, Move, View
+from .engine import Move, View
 from .grid import DIRECTIONS, Direction, Label, RANGE1_LABELS, RANGE2_LABELS
 
 ALGORITHM_ID = "gather2-v1"
@@ -100,7 +100,7 @@ class Branch:
 def _clause(robots: Iterable[Label] = (), empties: Iterable[Label] = ()) -> GuardClause:
     robots = frozenset(robots)
     empties = frozenset(empties)
-    stray = (robots | empties) - _BITS[2].keys()  # the labels a range-2 view can mention
+    stray = (robots | empties).difference(RANGE1_LABELS, RANGE2_LABELS)  # outside a range-2 view
     if stray:
         raise ValueError(f"guard mentions labels outside the range-2 domain: {sorted(stray)}")
     if robots & empties:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import config as configs
 from . import engine, gather2
@@ -64,17 +64,14 @@ class VerificationSummary:
         return dict(Counter(r.outcome.token() for r in self.results))
 
 
-# Where a shape's decisions lead, in the shape's own frame: the outcome of a
-# quiescent shape, a CollisionReport, a disconnected successor set, or
-# (index, da, db) for a connected successor, which is shapes[index]
-# translated by (da, db), the successor's minimum.
-_Edge = engine.Outcome | engine.CollisionReport | configs.Configuration | tuple[int, int, int]
+# A shape's engine.transition in its own frame, with a connected successor
+# stored as (index, da, db): shapes[index] translated by the successor's minimum.
+_Row = tuple[tuple[engine.Move, ...], engine.Outcome | configs.Configuration | tuple[int, int, int]]
 
 
 def _walk(
     shapes: list[configs.Configuration],
-    decided: list[tuple[engine.Move, ...]],
-    edges: list[_Edge],
+    rows: list[_Row],
     start: int,
     visibility: int,
     max_steps: int,
@@ -88,25 +85,21 @@ def _walk(
     seen = {start: 0}
     at, offset = start, (0, 0)
     while True:
-        edge = edges[at]
+        decisions, edge = rows[at]
         if isinstance(edge, engine.Outcome):
             outcome = edge
-            break
-        if isinstance(edge, engine.CollisionReport):
-            oa, ob = offset
-            moved = tuple(((a + oa, b + ob), m) for (a, b), m in edge.participants)
-            outcome = engine.Outcome(
-                engine.OutcomeKind.COLLISION, collision=engine.CollisionReport(edge.kind, moved)
-            )
+            if edge.collision is not None:
+                oa, ob = offset
+                moved = tuple(((a + oa, b + ob), m) for (a, b), m in edge.collision.participants)
+                outcome = replace(edge, collision=replace(edge.collision, participants=moved))
             break
         if isinstance(edge, frozenset):
-            steps.append(engine.TraceStep(decided[at], configs.translate(edge, offset), False))
+            steps.append(engine.TraceStep(decisions, configs.translate(edge, offset), False))
             outcome = engine.Outcome(engine.OutcomeKind.DISCONNECTED)
             break
-        ordered = decided[at]
         at, da, db = edge
         offset = (offset[0] + da, offset[1] + db)
-        steps.append(engine.TraceStep(ordered, configs.translate(shapes[at], offset), True))
+        steps.append(engine.TraceStep(decisions, configs.translate(shapes[at], offset), True))
         if at in seen:
             outcome = engine.Outcome(
                 engine.OutcomeKind.LIVELOCK, cycle_length=len(steps) - seen[at]
@@ -128,8 +121,8 @@ def verify_sweep(
 
     Valid because decisions depend only on the robot-relative view and every
     connected successor of an n-shape is an enumerated n-shape: each shape is
-    stepped once into a successor table, and steps-to-gather is its depth
-    below a quiescent gathered shape in that table.  Every other start fails,
+    stepped once, by :func:`engine.transition`, into a successor table, and
+    steps-to-gather is its depth below a gathered shape.  Every other start fails,
     and its outcome and trace are read off the table by walking it from that
     start.  :func:`engine.run` stays the reference path: the differential
     tests compare every result and trace line against one run per start.
@@ -141,36 +134,24 @@ def verify_sweep(
     started = time.perf_counter()
     shapes = configs.enumerate_connected(n)
     index = {cfg: idx for idx, cfg in enumerate(shapes)}
-    gathered = engine.Outcome(engine.OutcomeKind.GATHERED)
-    stalled = engine.Outcome(engine.OutcomeKind.LIVELOCK, cycle_length=1)
-    # Per shape: its decisions in sorted robot order, and where they lead.
-    decided: list[tuple[engine.Move, ...]] = []
-    edges: list[_Edge] = []
+    rows: list[_Row] = []
     distinct: dict = {}  # shared decision tuples: about 200 distinct among 3652 at n=7
     predecessors: list[list[int]] = [[] for _ in shapes]
     queue: list[int] = []  # quiescent gathered shapes, then breadth-first
+    gathered = None  # their outcome, which every start reaching one ends on
     for idx, cfg in enumerate(shapes):
-        decisions = engine.compute_decisions(cfg, decide, visibility)
-        ordered = tuple(decisions.values())
-        decided.append(distinct.setdefault(ordered, ordered))
-        if all(m is None for m in ordered):
-            if configs.is_gathered(cfg):
+        decisions, edge = engine.transition(cfg, decide, visibility)
+        if isinstance(edge, engine.Outcome):
+            if edge.kind == engine.OutcomeKind.GATHERED:
                 queue.append(idx)
-                edges.append(gathered)
-            else:
-                edges.append(stalled)
-            continue
-        successor = engine.apply_decisions(cfg, decisions)
-        if isinstance(successor, engine.CollisionReport):
-            edges.append(successor)
-            continue
-        # All n robots remain, so a successor outside index is disconnected.
-        nxt = index.get(configs.canonicalize(successor))
-        if nxt is None:
-            edges.append(successor)
+                gathered = edge
         else:
-            predecessors[nxt].append(idx)
-            edges.append((nxt, *min(successor)))
+            # All n robots remain, so a successor outside index is disconnected.
+            nxt = index.get(configs.canonicalize(edge))
+            if nxt is not None:
+                predecessors[nxt].append(idx)
+                edge = (nxt, *min(edge))
+        rows.append((distinct.setdefault(decisions, decisions), edge))
 
     # Breadth-first over reverse edges.  Each shape has one successor, so
     # each is reached at most once, and cycles are never reached.
@@ -186,7 +167,7 @@ def verify_sweep(
         if depth.get(idx, max_steps) < max_steps:
             results.append(ConfigResult(idx, gathered, depth[idx], True))
             continue
-        trace = _walk(shapes, decided, edges, idx, visibility, max_steps)
+        trace = _walk(shapes, rows, idx, visibility, max_steps)
         results.append(ConfigResult(idx, trace.outcome, len(trace.steps), trace.min_connected))
         failure_traces.append((idx, engine.trace_to_lines(trace, algorithm)))
     summary = VerificationSummary(algorithm, n, tuple(results), time.perf_counter() - started)

@@ -297,21 +297,24 @@ def test_max_steps_below_one_exits_2(argv, value, tmp_path, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("under_file", [False, True], ids=["file", "under-file"])
+_OUT_ARGV = {
+    "verify": ["verify", "--n", "2", "--out-dir"],
+    "run": ["run", "--config", "start.json", "--out-dir"],
+    "range1": ["range1", "--table", "rules.tbl", "--config", "fig5a-diagonal", "--out-dir"],
+    "enumerate": ["enumerate", "--n", "2", "--out"],
+}
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ["verify", "--n", "2", "--out-dir"],
-        ["run", "--config", "start.json", "--out-dir"],
-        ["range1", "--table", "rules.tbl", "--config", "fig5a-diagonal", "--out-dir"],
-        ["enumerate", "--n", "2", "--out"],
-    ],
-    ids=["verify", "run", "range1", "enumerate"],
+    "command,block",
+    [(c, b) for c in _OUT_ARGV for b in ("file", "under-file")]
+    + [("verify", "failures-file"), ("verify", "summary-dir")],
+    ids=lambda v: v,
 )
-def test_unwritable_output_path_exits_2(argv, under_file, hexa_file, tmp_path, capsys,
+def test_unwritable_output_path_exits_2(command, block, hexa_file, tmp_path, capsys,
                                         monkeypatch):
     def no_sweep(*args):
-        raise AssertionError("verify swept before claiming --out-dir")
+        raise AssertionError("verify swept before claiming its outputs")
 
     def no_enumeration(*args):
         raise AssertionError("enumerate enumerated before claiming --out")
@@ -321,16 +324,27 @@ def test_unwritable_output_path_exits_2(argv, under_file, hexa_file, tmp_path, c
     monkeypatch.chdir(tmp_path)
     (tmp_path / "start.json").write_text(hexa_file.read_text())
     (tmp_path / "rules.tbl").write_text(table_to_text(RuleTable.all_stay()))
-    blocker = tmp_path / "blocker"
-    blocker.write_text("")
-    target = blocker / "x" if under_file else blocker
-    if argv[0] == "enumerate" and not under_file:
+    blocker = target = tmp_path / "blocker"
+    if block == "under-file":
+        target = blocker / "x"
+    if block in ("failures-file", "summary-dir"):  # --out-dir is writable, an output in it not
+        target = tmp_path / "o"
+        target.mkdir()
+        blocker = target / ("failures" if block == "failures-file" else "summary.csv")
+    if block == "summary-dir":
+        blocker.mkdir()
+    else:
+        blocker.write_text("")
+    if command == "enumerate" and block == "file":
         target = tmp_path  # a directory cannot be written as a file
-    assert main(argv + [str(target)]) == EXIT_USAGE
+    assert main(_OUT_ARGV[command] + [str(target)]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
-    assert blocker.read_text() == ""
+    if block == "summary-dir":
+        assert blocker.is_dir() and not any(blocker.iterdir())
+    else:
+        assert blocker.read_text() == ""
 
 
 @pytest.mark.parametrize(

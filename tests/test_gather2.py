@@ -219,3 +219,17 @@ def test_guard_table_shape():
     ]
     assert [len(b.rules) for b in GUARD_TABLE] == [1, 3, 3, 1, 3, 1, 0]
     assert len(COMPLETION_RULES) == 44
+
+
+@pytest.mark.parametrize("label", [(0, 0), (1, 0), (6, 0), (3, 3)])
+def test_clause_rejects_labels_outside_the_range2_window(label):
+    # (0, 0) is the robot itself; (1, 0) names no node; (6, 0) and (3, 3) are 3 steps away
+    for kwargs in ({"robots": [label]}, {"empties": [label]}):
+        with pytest.raises(ValueError, match="outside the range-2 domain"):
+            gather2._clause(**kwargs)
+
+
+def test_clause_rejects_a_label_both_occupied_and_empty():
+    # line 25 as printed requires (1,-1) occupied and empty (see NORMALIZATION_NOTES)
+    with pytest.raises(ValueError, match=r"both occupied and empty: \[\(1, -1\)\]"):
+        gather2._clause(robots=[(1, 1), (2, 0), (1, -1)], empties=[(1, -1), (-2, 0), (-2, 2)])

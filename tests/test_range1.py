@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from itertools import combinations
 
 import pytest
 
@@ -165,6 +166,59 @@ def test_builtin_configs_are_connected():
     for lib in BUILTIN_CONFIGS.values():
         assert is_connected(lib.robots)
         assert lib.provenance
+
+
+def _sees(cfg, robot):
+    return dirs_of_mask(observe(cfg, robot, 1).mask)
+
+
+@pytest.mark.parametrize(
+    "name,pair", [("fig5a-diagonal", {SE, NW}), ("fig5b-diagonal", {NE, SW})]
+)
+def test_fig5_provenance_interior_sees_the_pair_and_endpoints_one_of_it(name, pair):
+    cfg = BUILTIN_CONFIGS[name].robots
+    line = sorted(cfg)
+    for robot in line[1:-1]:
+        assert _sees(cfg, robot) == pair
+    for robot in (line[0], line[-1]):
+        seen = _sees(cfg, robot)
+        assert len(seen) == 1 and seen < pair
+
+
+# Each prop1 witness as its provenance states it: robot -> (neighbors it sees, its move).
+PROP1_WITNESSES = {
+    "prop1a-geometry": {(0, 0): ({SE}, SW), (1, -2): ({NE}, NW)},
+    "prop1b-geometry": {(0, 0): ({SE}, SW), (1, -1): ({NW, SW}, W)},
+    "prop1c-geometry": {(0, 0): ({SE}, SW), (0, -2): ({E}, NE)},
+    "prop1d-geometry": {(0, 0): ({NW, E}, NE), (0, 2): ({SE}, SW)},
+}
+
+
+def test_prop1a_and_prop1b_share_one_robot_set_but_witness_different_pairs():
+    # a witness is a robot set plus the pair that collides; keyed by robot set alone,
+    # a witness library would lose one of these two
+    assert BUILTIN_CONFIGS["prop1a-geometry"].robots == BUILTIN_CONFIGS["prop1b-geometry"].robots
+    assert PROP1_WITNESSES["prop1a-geometry"].keys() != PROP1_WITNESSES["prop1b-geometry"].keys()
+
+
+@pytest.mark.parametrize("name", sorted(PROP1_WITNESSES))
+def test_prop1_provenance_is_a_minimal_same_target_witness(name):
+    cfg = BUILTIN_CONFIGS[name].robots
+    witness = PROP1_WITNESSES[name]
+    for robot, (seen, _) in witness.items():
+        assert _sees(cfg, robot) == seen
+    table = RuleTable.from_moves({frozenset(seen): move for seen, move in witness.values()})
+    verdict = check_table(table, cfg)
+    assert verdict.outcome.kind == OutcomeKind.COLLISION
+    assert verdict.outcome.collision.kind == engine.CollisionKind.SAME_TARGET
+    assert verdict.trace.steps == ()
+    assert dict(verdict.outcome.collision.participants) == {
+        robot: move for robot, (_, move) in witness.items()
+    }
+    for size in range(1, len(cfg)):
+        for subset in map(frozenset, combinations(sorted(cfg), size)):
+            if is_connected(subset):
+                assert check_table(table, subset).outcome.kind != OutcomeKind.COLLISION, subset
 
 
 def test_fig5_diagonals():
