@@ -40,6 +40,6 @@ from .grid import (
     neighbors,
     opposite,
 )
-from .range1 import BUILTIN_CONFIGS, RuleTable, check_table, search_tables, table_to_decision
+from .range1 import BUILTIN_CONFIGS, RuleTable, check_table, table_to_decision
 
 __version__ = "0.1.0"

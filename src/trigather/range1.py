@@ -3,21 +3,21 @@
 A deterministic oblivious range-1 algorithm is nothing more than a total
 map from the 64 occupancy patterns of the six neighbor labels to an
 action (stay or one of the six directions).  This module represents such
-maps as :class:`RuleTable` values, runs them through the engine to detect
-the failure modes any such algorithm can exhibit (collision,
-disconnection, livelock), and offers a bounded search over completions of
-a partial table.  It deliberately proves nothing: it is falsification
-infrastructure for hand-picked tables and configurations.
+maps as :class:`RuleTable` values and replays a table from a connected
+start through the engine (``check_table``).  A run fails when it
+collides, disconnects the robots, revisits a configuration, or runs out
+of its step budget.  The module checks only the tables and starts it is
+given: no exhaustive check of all range-1 tables exists yet.
 
-The structural constraint used for pruning is one rule on grid
-adjacency.  A robot that sees one neighbor, or two neighbors not adjacent
-to each other, may only stay or move to a node adjacent to every neighbor
-it sees: so it stays between an opposite pair, moves to one of the two
+The structural constraint on tables is one rule on grid adjacency.  A
+robot that sees one neighbor, or two neighbors not adjacent to each
+other, may only stay or move to a node adjacent to every neighbor it
+sees: so it stays between an opposite pair, moves to one of the two
 nodes flanking a lone neighbor, or to the single node between a
 120-degree pair.  Its moves are listed after stay, counterclockwise from
-just after its first visible neighbor in ``DIRECTIONS`` order; search
-enumeration and seeded table draws follow that order.  Every other
-nonempty view may take any of the seven actions.
+just after its first visible neighbor in ``DIRECTIONS`` order; seeded
+table draws follow that order.  Every other nonempty view may take any
+of the seven actions.
 
 The all-empty view is always constrained to stay: a robot with no visible
 neighbor has no information to move on without risking disconnection.
@@ -26,23 +26,20 @@ neighbor has no information to move on without risking disconnection.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice, product
 from typing import Iterable, Mapping
 
-from .config import Configuration, is_connected, make_configuration
+from .config import Configuration, make_configuration
 from .engine import (
     DEFAULT_MAX_STEPS,
     DecisionFunction,
     Move,
     Outcome,
-    OutcomeKind,
     Trace,
     View,
     run,
 )
 from .grid import DIRECTIONS, Direction, neighbor, neighbors
 
-# Action order used for serialization and for search enumeration.
 ACTIONS: tuple[Move, ...] = (None,) + DIRECTIONS
 
 TABLE_SIZE = 64
@@ -69,6 +66,7 @@ class RuleTable:
     actions: tuple[Move, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "actions", tuple(self.actions))
         if len(self.actions) != TABLE_SIZE:
             raise ValueError(f"rule table needs {TABLE_SIZE} actions, got {len(self.actions)}")
         for mask, action in enumerate(self.actions):
@@ -157,81 +155,6 @@ def check_table(
     """
     trace = run(cfg, table_to_decision(table), 1, max_steps)
     return Verdict(trace.outcome, trace)
-
-
-# --- bounded completion search ---
-
-
-@dataclass(frozen=True, slots=True)
-class CompletionResult:
-    table: RuleTable
-    failed_on: int | None  # index into the config tuple, None = survived all
-    outcome: Outcome | None
-
-    @property
-    def refuted(self) -> bool:
-        return self.failed_on is not None
-
-
-@dataclass(frozen=True, slots=True)
-class SearchReport:
-    results: tuple[CompletionResult, ...]
-    exhausted: bool  # False when the budget ran out before all completions
-
-    @property
-    def survivors(self) -> tuple[CompletionResult, ...]:
-        return tuple(r for r in self.results if not r.refuted)
-
-
-def search_tables(
-    constraints: Mapping[int, Move],
-    configs: Iterable[Configuration],
-    max_steps: int = DEFAULT_MAX_STEPS,
-    budget: int = 1000,
-) -> SearchReport:
-    """Explore completions of a partial table against a configuration set.
-
-    Pinned entries (``constraints``, keyed by view bitmask) are kept as
-    given; every free view ranges over its constrained action set.
-    Completions are enumerated in the lexicographic order of their free
-    entries (ascending bitmask, each over ``constrained_actions`` with stay
-    before the directions), so reports are reproducible; ``exhausted`` says
-    whether the budget covered them all.  Each completion is run against
-    the configurations in order and cut off at its first failure.  A
-    completion surviving every configuration is reported as not refuted by
-    this set — nothing more.
-    """
-    if budget < 1:
-        raise ValueError("budget must be positive")
-    config_list = tuple(configs)
-    for idx, cfg in enumerate(config_list):
-        if not is_connected(cfg):
-            raise ValueError(f"configuration #{idx} must be connected")
-    pinned = dict(constraints)
-    for mask in pinned:
-        if not 0 <= mask < TABLE_SIZE:
-            raise ValueError(f"constraint bitmask out of range: {mask}")
-    if pinned.get(0, None) is not None:
-        raise ValueError("the all-empty view must map to stay")
-
-    actions: list[Move] = [None] * TABLE_SIZE
-    for mask, action in pinned.items():
-        actions[mask] = action
-    free = [m for m in range(TABLE_SIZE) if m not in pinned]
-    completions = product(*(constrained_actions(m) for m in free))
-    results: list[CompletionResult] = []
-    for choice in islice(completions, budget):
-        for mask, action in zip(free, choice):
-            actions[mask] = action
-        table = RuleTable(tuple(actions))
-        result = CompletionResult(table, None, None)
-        for idx, cfg in enumerate(config_list):
-            outcome = check_table(table, cfg, max_steps).outcome
-            if outcome.kind != OutcomeKind.GATHERED:
-                result = CompletionResult(table, idx, outcome)
-                break
-        results.append(result)
-    return SearchReport(tuple(results), next(completions, None) is None)
 
 
 # --- built-in configuration library ---

@@ -1,12 +1,13 @@
-"""Range-1 rule tables: format, constraints, replay, bounded search."""
+"""Range-1 rule tables: format, constraints, and replay on the given tables and starts."""
 
 import hashlib
+import pathlib
 import random
 from itertools import combinations
 
 import pytest
 
-from trigather import engine
+from trigather import engine, range1
 from trigather.config import canonicalize, is_connected
 from trigather.engine import OutcomeKind, View, observe
 from trigather.grid import (
@@ -28,7 +29,6 @@ from trigather.range1 import (
     dirs_of_mask,
     mask_of,
     satisfies_constraints,
-    search_tables,
     table_from_text,
     table_to_decision,
     table_to_text,
@@ -37,6 +37,8 @@ from trigather.range1 import (
 E, NE, NW, W, SW, SE = (
     Direction.E, Direction.NE, Direction.NW, Direction.W, Direction.SW, Direction.SE,
 )
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 SE_ONLY = RuleTable.from_moves({frozenset({SE}): SW})
 PROOF_SEED = RuleTable.from_moves({frozenset({SE}): SW, frozenset({NE}): NW})
@@ -57,6 +59,15 @@ def test_table_validation():
         RuleTable((None,) * 63)
     with pytest.raises(ValueError):
         RuleTable((Direction.E,) + (None,) * 63)  # all-empty view must stay
+
+
+def test_table_freezes_its_actions():
+    source = [None] * 64
+    table = RuleTable(source)
+    source[1] = Direction.E
+    assert table == RuleTable.all_stay()
+    assert hash(table) == hash(RuleTable.all_stay())
+    assert table.actions == (None,) * 64
 
 
 def test_all_stay_table():
@@ -109,7 +120,7 @@ def test_table_rejects_actions_that_are_not_moves():
     with pytest.raises(ValueError, match="mask 100000"):
         RuleTable.from_moves({frozenset({SE}): "SW"})
     with pytest.raises(ValueError, match="mask 000010"):
-        search_tables({m: None for m in range(64)} | {mask_of([NE]): 1}, [], budget=1)
+        RuleTable.from_moves({frozenset({NE}): 1})
 
 
 def test_constrained_actions():
@@ -154,7 +165,7 @@ def test_constraint_is_adjacency_on_every_mask():
 
 
 def test_constrained_action_order_pinned():
-    """Seeded table draws and search order depend on each tuple's order."""
+    """Seeded table draws depend on each tuple's order."""
     names = [
         tuple("stay" if a is None else a.name for a in constrained_actions(m)) for m in range(64)
     ]
@@ -268,6 +279,18 @@ def test_check_table_rejects_disconnected():
         check_table(RuleTable.all_stay(), frozenset({(0, 0), (2, 0)}))
 
 
+@pytest.mark.parametrize(
+    "doc", [(ROOT / "README.md").read_text(), range1.__doc__], ids=["README.md", "range1"]
+)
+def test_docs_state_the_range1_failure_set(doc):
+    text = " ".join(doc.split())
+    assert (
+        "run fails when it collides, disconnects the robots, revisits a configuration,"
+        " or runs out of its step budget" in text
+    )
+    assert "no exhaustive check of all range-1 tables exists yet" in text
+
+
 def test_table_lookup_matches_mask_on_all_patterns():
     rng = random.Random(64)
     table = RuleTable((None,) + tuple(rng.choice(ACTIONS) for _ in range(63)))
@@ -281,70 +304,6 @@ def test_table_lookup_matches_mask_on_all_patterns():
             far = frozenset(rng.sample(RANGE2_LABELS, rng.randint(1, len(RANGE2_LABELS))))
             assert decide(View(2, occupied | far)) is expected
         assert decide(View(2, occupied)) is expected
-
-
-def test_search_all_stay_single_completion():
-    pinned = {m: None for m in range(64)}
-    report = search_tables(pinned, [BUILTIN_CONFIGS["fig5a-diagonal"].robots], budget=10)
-    assert report.exhausted
-    assert len(report.results) == 1
-    only = report.results[0]
-    assert only.refuted and only.failed_on == 0
-    assert only.outcome.kind == OutcomeKind.LIVELOCK
-
-
-def test_search_vacuous_config_set():
-    pinned = {m: None for m in range(60)}
-    report = search_tables(pinned, [], budget=5)
-    assert not report.exhausted  # four free constrained views exceed budget 5
-    assert all(not r.refuted for r in report.results)
-    assert len(report.results) == 5
-
-
-def test_search_order_and_budget():
-    # two free views: {E} (3 constrained actions) and {E, NE} (all 7)
-    low, high = mask_of([E]), mask_of([E, NE])
-    pinned = {m: None for m in range(64) if m not in (low, high)}
-    pinned[mask_of([SE])] = SW
-    expected = [
-        (a, b) for a in constrained_actions(low) for b in constrained_actions(high)
-    ]
-    assert len(expected) == 21
-    for budget in (1, 20, 21, 22, 100):
-        report = search_tables(pinned, [], budget=budget)
-        got = [(r.table.actions[low], r.table.actions[high]) for r in report.results]
-        assert got == expected[:budget]
-        assert report.exhausted == (budget >= len(expected))
-        for r in report.results:
-            assert all(r.table.actions[m] is a for m, a in pinned.items())
-
-
-def test_search_seed_against_prop1_geometries():
-    # pin everything except the two seed moves and two free views;
-    # every explored completion must fail on some built-in geometry
-    pinned = {m: None for m in range(64)}
-    pinned[mask_of([SE])] = SW
-    pinned[mask_of([NE])] = NW
-    del pinned[mask_of([E])]
-    del pinned[mask_of([W, NE])]
-    configs = [
-        BUILTIN_CONFIGS["prop1a-geometry"].robots,
-        BUILTIN_CONFIGS["fig5a-diagonal"].robots,
-    ]
-    report = search_tables(pinned, configs, budget=100)
-    assert report.exhausted
-    assert len(report.results) == 6  # 3 actions for {E} times 2 for {W,NE}
-    assert all(r.refuted for r in report.results)
-    assert report.survivors == ()
-
-
-def test_search_rejects_bad_input():
-    with pytest.raises(ValueError):
-        search_tables({0: Direction.E}, [], budget=5)
-    with pytest.raises(ValueError):
-        search_tables({}, [frozenset({(0, 0), (5, 5)})], budget=5)
-    with pytest.raises(ValueError):
-        search_tables({}, [], budget=0)
 
 
 def random_connected(rng, n):
