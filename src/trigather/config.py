@@ -16,12 +16,52 @@ from __future__ import annotations
 import json
 from typing import Iterable
 
-from .grid import TriCoord, neighbors
+from .grid import DIRECTIONS, TriCoord, neighbors
 
 Configuration = frozenset  # of TriCoord
 
 # Largest robot count the fixed-shape enumeration is sized for.
 MAX_ENUMERATION_SIZE = 8
+
+# A node (a, b) packs to the key a * KEY_STRIDE + b.  While |b| < KEY_STRIDE // 2,
+# keys order like nodes (by a, then b) and subtracting keys subtracts nodes, so
+# the canonical form of a packed shape subtracts its smallest key.  Offsets
+# between two nodes of a connected n-shape have |b| <= n - 1, and one step of
+# every robot adds at most 2, so shapes and their successors pack.
+KEY_STRIDE = 64
+assert MAX_ENUMERATION_SIZE + 1 < KEY_STRIDE // 2, "enumerated shapes must pack"
+
+
+def key_of(node: TriCoord) -> int:
+    """The key a node, or an offset between two nodes, packs to."""
+    a, b = node
+    return a * KEY_STRIDE + b
+
+
+# The key offsets of the six neighbors, in DIRECTIONS order.
+NEIGHBOR_DELTAS: tuple[int, ...] = tuple(key_of(d.value) for d in DIRECTIONS)
+
+
+class _Nodes(dict):
+    """Nodes by key, unpacked once: every unpacked shape shares these tuples."""
+
+    def __missing__(self, key: int) -> TriCoord:
+        a, b = divmod(key + KEY_STRIDE // 2, KEY_STRIDE)
+        node = self[key] = (a, b - KEY_STRIDE // 2)
+        return node
+
+
+_NODES = _Nodes()
+
+
+def node_of(key: int) -> TriCoord:
+    """The node a key packs."""
+    return _NODES[key]
+
+
+def unpack(keys: Iterable[int]) -> Configuration:
+    """The configuration of a packed shape."""
+    return frozenset(map(_NODES.__getitem__, keys))
 
 
 def make_configuration(robots: Iterable[TriCoord]) -> Configuration:
@@ -84,28 +124,44 @@ def gathered_hexagon(center: TriCoord = (0, 0)) -> Configuration:
     return frozenset((center,) + neighbors(center))
 
 
-def enumerate_connected(n: int) -> list[Configuration]:
-    """All connected n-robot configurations up to translation.
+def enumerate_keys(n: int) -> list[tuple[int, ...]]:
+    """All connected n-robot shapes up to translation, as sorted key tuples.
 
     Grown level by level: every connected (k+1)-shape contains a connected
     k-shape (drop a leaf of any spanning tree), so extending each k-shape
     by one neighbor node and deduplicating canonical forms is exhaustive.
-    Returns canonical forms in a deterministic sorted order.
+    A canonical shape's smallest key is 0, so a grown shape whose new
+    neighbor lies below 0 is shifted to put that neighbor on 0.  Returns
+    the shapes sorted.
     """
     if n < 1:
         raise ValueError("robot count must be at least 1")
     if n > MAX_ENUMERATION_SIZE:
         raise ValueError(f"robot count above practical bound {MAX_ENUMERATION_SIZE}")
-    level: set[Configuration] = {frozenset({(0, 0)})}
+    level: set[frozenset[int]] = {frozenset({0})}
     for _ in range(n - 1):
-        grown: set[Configuration] = set()
-        for cfg in level:
-            for cell in cfg:
-                for nb in neighbors(cell):
-                    if nb not in cfg:
-                        grown.add(canonicalize(cfg | {nb}))
+        grown: set[frozenset[int]] = set()
+        for shape in level:
+            for key in shape:
+                for delta in NEIGHBOR_DELTAS:
+                    nb = key + delta
+                    if nb in shape:
+                        continue
+                    if nb > 0:
+                        grown.add(shape | {nb})
+                    else:
+                        grown.add(frozenset([k - nb for k in shape]) | {0})
         level = grown
-    return sorted(level, key=sorted)
+    return sorted(tuple(sorted(shape)) for shape in level)
+
+
+def enumerate_connected(n: int) -> list[Configuration]:
+    """All connected n-robot configurations up to translation.
+
+    The shapes of :func:`enumerate_keys`, unpacked: canonical forms in a
+    deterministic sorted order.
+    """
+    return [unpack(keys) for keys in enumerate_keys(n)]
 
 
 # --- configuration file payload ({"robots": [[a, b], ...]}) ---

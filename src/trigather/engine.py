@@ -49,7 +49,7 @@ _BITS: dict[int, dict[Label, int]] = {
     for v, labels in ((1, RANGE1_LABELS), (2, RANGE1_LABELS + RANGE2_LABELS))
 }
 # One (da, db, bit) probe per label.
-_PROBES: dict[int, tuple] = {
+PROBES: dict[int, tuple] = {
     v: tuple((*LABEL_OFFSET[lbl], bit) for lbl, bit in bits.items())
     for v, bits in _BITS.items()
 }
@@ -84,11 +84,11 @@ class View:
     def __post_init__(self) -> None:
         bits = _bits_of(self.visibility)
         occupied = frozenset(self.occupied)
-        bad = sorted(lbl for lbl in occupied if lbl not in bits)
+        bad = occupied.difference(bits)
         if bad:
-            raise ValueError(f"labels {bad} are outside visibility range {self.visibility}")
+            raise ValueError(f"labels {sorted(bad)} are outside visibility range {self.visibility}")
         object.__setattr__(self, "occupied", occupied)
-        object.__setattr__(self, "mask", sum(bits[lbl] for lbl in occupied))
+        object.__setattr__(self, "mask", sum(map(bits.__getitem__, occupied)))
 
 
 DecisionFunction = Callable[[View], Move]
@@ -167,16 +167,27 @@ def observe(cfg: Configuration, robot: TriCoord, visibility: int) -> View:
     """
     if robot not in cfg:
         raise ValueError(f"robot {robot!r} is not part of the configuration")
-    bits = _bits_of(visibility)
+    _bits_of(visibility)
     a, b = robot
     mask = 0
-    for da, db, bit in _PROBES[visibility]:
+    for da, db, bit in PROBES[visibility]:
         if (a + da, b + db) in cfg:
             mask |= bit
+    view = _VIEWS[visibility].get(mask)
+    if view is None:
+        view = view_of(mask, visibility)
+    return view
+
+
+def view_of(mask: int, visibility: int) -> View:
+    """The shared ``View`` whose occupancy ``mask`` is at ``visibility``."""
+    bits = _bits_of(visibility)
     views = _VIEWS[visibility]
     view = views.get(mask)
     if view is None:
-        occupied = frozenset(lbl for lbl, bit in bits.items() if mask & bit)
+        if not 0 <= mask < 1 << len(bits):
+            raise ValueError(f"mask {mask:#x} is outside visibility range {visibility}")
+        occupied = frozenset([lbl for lbl, bit in bits.items() if mask & bit])
         view = views[mask] = View(visibility, occupied)
     return view
 
@@ -241,13 +252,20 @@ def step(
 def transition(
     cfg: Configuration, decide: DecisionFunction, visibility: int
 ) -> tuple[tuple[Move, ...], Outcome | Configuration]:
-    """One Look-Compute-Move cycle of ``cfg``, classified.
+    """One Look-Compute-Move cycle of ``cfg``, classified by :func:`settle`."""
+    return settle(cfg, compute_decisions(cfg, decide, visibility))
 
-    Returns the decisions in sorted robot order and either the ``Outcome``
-    that ends a run at ``cfg`` (all stay: gathered on a hexagon, else
-    ``livelock:1``; or a collision) or the successor, connected or not.
+
+def settle(
+    cfg: Configuration, decisions: dict[TriCoord, Move]
+) -> tuple[tuple[Move, ...], Outcome | Configuration]:
+    """Classify one cycle of ``cfg``: the one place a cycle is classified.
+
+    ``decisions`` maps every robot, in sorted order, to its move.  Returns
+    them as a tuple and either the ``Outcome`` that ends a run at ``cfg``
+    (all stay: gathered on a hexagon, else ``livelock:1``; or a collision)
+    or the successor, connected or not.
     """
-    decisions = compute_decisions(cfg, decide, visibility)
     ordered = tuple(decisions.values())
     if all(m is None for m in ordered):
         if is_gathered(cfg):
@@ -268,7 +286,7 @@ def run(
     """Iterate cycles until gathering, failure, livelock, or the step cap.
 
     Termination:
-    - the outcome :func:`transition` classifies: gathered, ``livelock:1``
+    - the outcome :func:`settle` classifies: gathered, ``livelock:1``
       or a collision (all-stay steps are never recorded),
     - disconnected: on the first disconnected successor,
     - livelock: the canonical form of the configuration repeats,

@@ -53,12 +53,6 @@ def mask_of(dirs: Iterable[Direction]) -> int:
     return mask
 
 
-def dirs_of_mask(mask: int) -> frozenset:
-    if not 0 <= mask < TABLE_SIZE:
-        raise ValueError(f"view bitmask out of range: {mask}")
-    return frozenset(d for i, d in enumerate(DIRECTIONS) if mask & (1 << i))
-
-
 @dataclass(frozen=True, slots=True)
 class RuleTable:
     """A total view -> action map over the 64 range-1 occupancy patterns."""
@@ -129,10 +123,6 @@ def constrained_actions(mask: int) -> tuple[Move, ...]:
     if not 0 <= mask < TABLE_SIZE:
         raise ValueError(f"view bitmask out of range: {mask}")
     return _CONSTRAINED_ACTIONS[mask]
-
-
-def satisfies_constraints(table: RuleTable) -> bool:
-    return all(table.actions[m] in constrained_actions(m) for m in range(TABLE_SIZE))
 
 
 # --- replay ---

@@ -8,6 +8,7 @@ from dataclasses import dataclass, replace
 
 from . import config as configs
 from . import engine, gather2
+from .shapes import Edge, ShapeGraph
 
 
 def _all_stay(view: engine.View) -> engine.Move:
@@ -64,19 +65,18 @@ class VerificationSummary:
         return dict(Counter(r.outcome.token() for r in self.results))
 
 
-# A shape's engine.transition in its own frame, with a connected successor
-# stored as (index, da, db): shapes[index] translated by the successor's minimum.
-_Row = tuple[tuple[engine.Move, ...], engine.Outcome | configs.Configuration | tuple[int, int, int]]
+# A shape's decisions in sorted robot order, and where they lead.
+_Row = tuple[tuple[engine.Move, ...], Edge]
 
 
 def _walk(
-    shapes: list[configs.Configuration],
+    graph: ShapeGraph,
     rows: list[_Row],
     start: int,
     visibility: int,
     max_steps: int,
 ) -> engine.Trace:
-    """The trace :func:`engine.run` records from ``shapes[start]``, read off the table.
+    """The trace :func:`engine.run` records from shape ``start``, read off the table.
 
     ``offset`` translates the frame of the current shape into the start's;
     termination follows :func:`engine.run` case for case.
@@ -99,7 +99,7 @@ def _walk(
             break
         at, da, db = edge
         offset = (offset[0] + da, offset[1] + db)
-        steps.append(engine.TraceStep(decisions, configs.translate(shapes[at], offset), True))
+        steps.append(engine.TraceStep(decisions, configs.translate(graph.shape(at), offset), True))
         if at in seen:
             outcome = engine.Outcome(
                 engine.OutcomeKind.LIVELOCK, cycle_length=len(steps) - seen[at]
@@ -109,7 +109,7 @@ def _walk(
         if len(steps) >= max_steps:
             outcome = engine.Outcome(engine.OutcomeKind.STEP_LIMIT)
             break
-    return engine.Trace(shapes[start], visibility, tuple(steps), outcome)
+    return engine.Trace(graph.shape(start), visibility, tuple(steps), outcome)
 
 
 def verify_sweep(
@@ -120,38 +120,42 @@ def verify_sweep(
     """Run an algorithm over every enumerated configuration of size n.
 
     Valid because decisions depend only on the robot-relative view and every
-    connected successor of an n-shape is an enumerated n-shape: each shape is
-    stepped once, by :func:`engine.transition`, into a successor table, and
-    steps-to-gather is its depth below a gathered shape.  Every other start fails,
-    and its outcome and trace are read off the table by walking it from that
-    start.  :func:`engine.run` stays the reference path: the differential
-    tests compare every result and trace line against one run per start.
-    Results are in canonical enumeration order.
+    connected successor of an n-shape is an enumerated n-shape.  The sweep
+    steps each packed shape of a :class:`ShapeGraph` once into a successor
+    table, and decides once per distinct view mask: the algorithm sees each
+    distinct view once, as :func:`engine.view_of` builds it.
+    Steps-to-gather is a shape's depth below a gathered shape.  Every other
+    start fails, and its outcome and trace are read off the table by
+    walking it from that start.  :func:`engine.run` stays the reference
+    path: the differential tests compare every result and trace line
+    against one run per start.  Results are in canonical enumeration order.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be positive")
     decide, visibility = ALGORITHMS[algorithm]
     started = time.perf_counter()
-    shapes = configs.enumerate_connected(n)
-    index = {cfg: idx for idx, cfg in enumerate(shapes)}
+    graph = ShapeGraph(n)
+    moves: dict[int, engine.Move] = {}  # one decision per distinct view mask
     rows: list[_Row] = []
     distinct: dict = {}  # shared decision tuples: about 200 distinct among 3652 at n=7
-    predecessors: list[list[int]] = [[] for _ in shapes]
+    predecessors: list[list[int]] = [[] for _ in range(len(graph))]
     queue: list[int] = []  # quiescent gathered shapes, then breadth-first
     gathered = None  # their outcome, which every start reaching one ends on
-    for idx, cfg in enumerate(shapes):
-        decisions, edge = engine.transition(cfg, decide, visibility)
+    for idx in range(len(graph)):
+        masks = graph.masks(idx, visibility)
+        for mask in masks:
+            if mask not in moves:
+                moves[mask] = decide(engine.view_of(mask, visibility))
+        decisions = tuple([moves[mask] for mask in masks])
+        decisions = distinct.setdefault(decisions, decisions)
+        edge = graph.step(idx, decisions)
         if isinstance(edge, engine.Outcome):
             if edge.kind == engine.OutcomeKind.GATHERED:
                 queue.append(idx)
                 gathered = edge
-        else:
-            # All n robots remain, so a successor outside index is disconnected.
-            nxt = index.get(configs.canonicalize(edge))
-            if nxt is not None:
-                predecessors[nxt].append(idx)
-                edge = (nxt, *min(edge))
-        rows.append((distinct.setdefault(decisions, decisions), edge))
+        elif isinstance(edge, tuple):
+            predecessors[edge[0]].append(idx)
+        rows.append((decisions, edge))
 
     # Breadth-first over reverse edges.  Each shape has one successor, so
     # each is reached at most once, and cycles are never reached.
@@ -163,11 +167,11 @@ def verify_sweep(
 
     results = []
     failure_traces = []
-    for idx in range(len(shapes)):
+    for idx in range(len(graph)):
         if depth.get(idx, max_steps) < max_steps:
             results.append(ConfigResult(idx, gathered, depth[idx], True))
             continue
-        trace = _walk(shapes, rows, idx, visibility, max_steps)
+        trace = _walk(graph, rows, idx, visibility, max_steps)
         results.append(ConfigResult(idx, trace.outcome, len(trace.steps), trace.min_connected))
         failure_traces.append((idx, engine.trace_to_lines(trace, algorithm)))
     summary = VerificationSummary(algorithm, n, tuple(results), time.perf_counter() - started)

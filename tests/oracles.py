@@ -11,6 +11,10 @@ counts connected shapes up to translation.
 For small n an even blunter oracle is kept alongside: enumerate every
 n-subset of a full disc and deduplicate by canonical form.
 
+The ordered-enumeration oracle is the growth the packed enumeration
+replaced: the same level-by-level growth on frozensets of coordinate
+tuples, canonicalized by translating the smallest node to the origin.
+
 The connectivity-screen oracle states the range-2 screen as the
 ``dump-guards`` text does, pair by pair, on grid coordinates.
 """
@@ -56,6 +60,15 @@ def count_connected_full_disc(n, radius=None):
         if is_connected(cells):
             shapes.add(canonicalize(cells))
     return len(shapes)
+
+
+def enumerate_connected_tuples(n):
+    """Connected n-shapes up to translation, grown on coordinate tuples, sorted."""
+    level = {frozenset({(0, 0)})}
+    for _ in range(n - 1):
+        level = {canonicalize(cfg | {nb}) for cfg in level for cell in cfg
+                 for nb in neighbors(cell) if nb not in cfg}
+    return sorted(level, key=sorted)
 
 
 def _components(cells):

@@ -5,17 +5,27 @@ from itertools import combinations
 
 import pytest
 
-from oracles import count_connected_anchored, count_connected_full_disc
+from oracles import (
+    count_connected_anchored,
+    count_connected_full_disc,
+    enumerate_connected_tuples,
+)
 from trigather.config import (
+    KEY_STRIDE,
+    MAX_ENUMERATION_SIZE,
     canonicalize,
     config_from_json,
     config_to_json,
     enumerate_connected,
+    enumerate_keys,
     gathered_hexagon,
     is_connected,
     is_gathered,
+    key_of,
     make_configuration,
+    node_of,
     translate,
+    unpack,
 )
 from trigather.grid import neighbors
 
@@ -130,6 +140,48 @@ def test_enumerate_matches_full_disc_oracle(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_enumerate_matches_anchored_oracle(n):
     assert len(enumerate_connected(n)) == count_connected_anchored(n)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_enumerate_matches_tuple_growth_in_order(n):
+    assert enumerate_connected(n) == enumerate_connected_tuples(n)
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(
+    not os.environ.get("TRIGATHER_SLOW"),
+    reason="n=8 tuple growth; set TRIGATHER_SLOW=1 to run",
+)
+def test_enumerate_n8_matches_tuple_growth_in_order():
+    shapes = enumerate_connected(8)
+    assert len(shapes) == 16689
+    assert shapes == enumerate_connected_tuples(8)
+
+
+def test_keys_pack_nodes_in_order_within_the_enumeration_bound():
+    # A connected n-shape spans at most n - 1 along b and one step adds at
+    # most 2, so |b| stays below KEY_STRIDE // 2 for every node and offset of
+    # every enumerated shape and of its successors.
+    assert MAX_ENUMERATION_SIZE + 1 < KEY_STRIDE // 2
+    span = range(-(MAX_ENUMERATION_SIZE + 1), MAX_ENUMERATION_SIZE + 2)
+    nodes = [(a, b) for a in span for b in span]
+    keys = [key_of(node) for node in nodes]
+    assert [node_of(k) for k in keys] == nodes
+    assert sorted(keys) == [k for _, k in sorted(zip(nodes, keys))]
+    for u, ku in zip(nodes[::7], keys[::7]):
+        for v, kv in zip(nodes, keys):
+            assert node_of(kv - ku) == (v[0] - u[0], v[1] - u[1])
+
+
+def test_enumerated_keys_are_canonical_and_unpack_to_shared_nodes():
+    for n in range(1, 8):
+        shapes = enumerate_keys(n)
+        assert shapes == sorted(shapes)
+        for keys in shapes:
+            assert keys[0] == 0 and list(keys) == sorted(set(keys))
+            assert all(abs(b) < n for _, b in unpack(keys))
+    nodes = {id(node) for keys in enumerate_keys(5) for node in unpack(keys)}
+    assert len(nodes) == len({node for keys in enumerate_keys(5) for node in unpack(keys)})
 
 
 @pytest.mark.slow

@@ -94,6 +94,18 @@ def test_observe_matches_labelled_reference_and_interns_views():
     assert len([v for v, _ in interned if v == 1]) == 63  # all but the empty view
 
 
+def test_view_of_returns_the_view_observe_interns():
+    hexa = gathered_hexagon()
+    for visibility in (1, 2):
+        view = observe(hexa, (0, 0), visibility)
+        assert engine.view_of(view.mask, visibility) is view
+    assert engine.view_of(0b101, 1).occupied == {(2, 0), (-1, 1)}
+    with pytest.raises(ValueError, match="outside visibility range 1"):
+        engine.view_of(1 << 6, 1)
+    with pytest.raises(ValueError, match="must be 1 or 2"):
+        engine.view_of(0, 3)
+
+
 def test_observe_gathered_center():
     hexa = gathered_hexagon()
     v = observe(hexa, (0, 0), 2)

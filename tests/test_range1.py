@@ -24,11 +24,10 @@ from trigather.range1 import (
     ACTIONS,
     BUILTIN_CONFIGS,
     RuleTable,
+    TABLE_SIZE,
     check_table,
     constrained_actions,
-    dirs_of_mask,
     mask_of,
-    satisfies_constraints,
     table_from_text,
     table_to_decision,
     table_to_text,
@@ -37,6 +36,17 @@ from trigather.range1 import (
 E, NE, NW, W, SW, SE = (
     Direction.E, Direction.NE, Direction.NW, Direction.W, Direction.SW, Direction.SE,
 )
+
+
+def dirs_of_mask(mask):
+    """The neighbor directions a range-1 mask names; inverse of ``mask_of``."""
+    return frozenset(d for i, d in enumerate(DIRECTIONS) if mask & (1 << i))
+
+
+def satisfies_constraints(table):
+    """Every entry of ``table`` is one of its view's constrained actions."""
+    return all(table.actions[m] in constrained_actions(m) for m in range(TABLE_SIZE))
+
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 

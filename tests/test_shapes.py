@@ -1,0 +1,65 @@
+"""The packed shape graph against the coordinate reference: masks and one step."""
+
+import random
+
+import pytest
+
+from trigather import engine
+from trigather.config import canonicalize, enumerate_connected
+from trigather.engine import CollisionKind, observe
+from trigather.grid import DIRECTIONS
+from trigather.shapes import ShapeGraph
+
+
+@pytest.fixture(scope="module")
+def graphs():
+    return {n: ShapeGraph(n) for n in range(1, 8)}
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_shapes_unpack_to_the_enumeration(graphs, n):
+    graph = graphs[n]
+    shapes = enumerate_connected(n)
+    assert [graph.shape(idx) for idx in range(len(graph))] == shapes
+    assert all(graph.index[keys] == idx for idx, keys in enumerate(graph.keys))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_masks_equal_observe_at_both_ranges(graphs, n):
+    graph = graphs[n]
+    for idx in range(len(graph)):
+        cfg = graph.shape(idx)
+        for visibility in (1, 2):
+            expected = [observe(cfg, robot, visibility).mask for robot in sorted(cfg)]
+            assert graph.masks(idx, visibility) == expected
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_step_equals_settle_on_random_moves(graphs, n):
+    graph = graphs[n]
+    index = {cfg: idx for idx, cfg in enumerate(enumerate_connected(n))}
+    rng = random.Random(n)
+    kinds = set()
+    for idx in range(len(graph)):
+        cfg = graph.shape(idx)
+        for _ in range(8):
+            # mostly stays, so that successors are often connected
+            moves = tuple(rng.choice(DIRECTIONS) if rng.random() < 0.3 else None for _ in cfg)
+            _, result = engine.settle(cfg, dict(zip(sorted(cfg), moves)))
+            if isinstance(result, engine.Outcome):
+                expected = result
+                kinds.add(result.token())
+            else:
+                nxt = index.get(canonicalize(result))
+                expected = result if nxt is None else (nxt, *min(result))
+                kinds.add("disconnected" if nxt is None else "connected")
+            assert graph.step(idx, moves) == expected
+    if n >= 4:
+        assert {
+            "connected",
+            "disconnected",
+            "livelock:1",
+            f"collision:{CollisionKind.SWAP}",
+            f"collision:{CollisionKind.MOVE_ONTO_STATIONARY}",
+            f"collision:{CollisionKind.SAME_TARGET}",
+        } <= kinds

@@ -1,10 +1,11 @@
-"""Exhaustive verification: the verbatim listing's outcome counts, as the docs state them."""
+"""Exhaustive verification: decisions per distinct view, and the verbatim listing's outcomes."""
 
 import hashlib
 import pathlib
 
 import pytest
 
+from trigather import verify
 from trigather.cli import summary_csv_rows
 from trigather.verify import verify_sweep
 
@@ -45,3 +46,19 @@ def test_verbatim_summary_and_traces_pinned(verbatim):
 def test_docs_state_the_verbatim_failure_count(doc):
     text = " ".join((ROOT / doc).read_text().split())
     assert "strands or stalls 1757 of the 3652" in text
+
+
+def test_sweep_decides_once_per_distinct_view(monkeypatch):
+    expected, _ = verify_sweep(7, "gather2-v1")
+    decide, visibility = verify.ALGORITHMS["gather2-v1"]
+    seen = []
+
+    def counting(view):
+        seen.append(view.occupied)
+        return decide(view)
+
+    monkeypatch.setitem(verify.ALGORITHMS, "gather2-v1", (counting, visibility))
+    summary, failure_traces = verify_sweep(7, "gather2-v1")
+    assert len(seen) == len(set(seen)) == 5188
+    assert summary.results == expected.results
+    assert failure_traces == []
