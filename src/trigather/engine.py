@@ -249,32 +249,22 @@ def step(
     return apply_decisions(cfg, compute_decisions(cfg, decide, visibility))
 
 
-def transition(
-    cfg: Configuration, decide: DecisionFunction, visibility: int
-) -> tuple[tuple[Move, ...], Outcome | Configuration]:
-    """One Look-Compute-Move cycle of ``cfg``, classified by :func:`settle`."""
-    return settle(cfg, compute_decisions(cfg, decide, visibility))
-
-
-def settle(
-    cfg: Configuration, decisions: dict[TriCoord, Move]
-) -> tuple[tuple[Move, ...], Outcome | Configuration]:
+def settle(cfg: Configuration, decisions: dict[TriCoord, Move]) -> Outcome | Configuration:
     """Classify one cycle of ``cfg``: the one place a cycle is classified.
 
     ``decisions`` maps every robot, in sorted order, to its move.  Returns
-    them as a tuple and either the ``Outcome`` that ends a run at ``cfg``
-    (all stay: gathered on a hexagon, else ``livelock:1``; or a collision)
-    or the successor, connected or not.
+    the ``Outcome`` that ends a run at ``cfg`` (all stay: gathered on a
+    hexagon, else ``livelock:1``; or a collision) or the successor,
+    connected or not.
     """
-    ordered = tuple(decisions.values())
-    if all(m is None for m in ordered):
+    if all(m is None for m in decisions.values()):
         if is_gathered(cfg):
-            return ordered, Outcome(OutcomeKind.GATHERED)
-        return ordered, Outcome(OutcomeKind.LIVELOCK, cycle_length=1)
+            return Outcome(OutcomeKind.GATHERED)
+        return Outcome(OutcomeKind.LIVELOCK, cycle_length=1)
     result = apply_decisions(cfg, decisions)
     if isinstance(result, CollisionReport):
-        return ordered, Outcome(OutcomeKind.COLLISION, collision=result)
-    return ordered, result
+        return Outcome(OutcomeKind.COLLISION, collision=result)
+    return result
 
 
 def run(
@@ -303,12 +293,13 @@ def run(
     current = initial
     outcome: Outcome | None = None
     while outcome is None:
-        ordered, result = transition(current, decide, visibility)
+        decisions = compute_decisions(current, decide, visibility)
+        result = settle(current, decisions)
         if isinstance(result, Outcome):
             outcome = result
             break
         connected = is_connected(result)
-        steps.append(TraceStep(ordered, result, connected))
+        steps.append(TraceStep(tuple(decisions.values()), result, connected))
         if not connected:
             outcome = Outcome(OutcomeKind.DISCONNECTED)
             break

@@ -45,7 +45,6 @@ a fixed point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable
 
 from .engine import Move, View
@@ -439,27 +438,14 @@ def matching_rules(occupied: frozenset) -> tuple[Branch, tuple[MoveRule, ...]]:
     raise AssertionError("dispatch chain is total; no branch selected")
 
 
-# Views repeat heavily across a verification sweep; memoizing the pure
-# occupancy -> move maps is the engine's main speedup.
-@lru_cache(maxsize=None)
-def _decide(occupied: frozenset) -> Move:
-    _, matched = matching_rules(occupied)
-    for rule in matched:
-        if preserves_visible_connectivity(occupied, rule.move):
-            return rule.move
-    return _COMPLETION.get(occupied)
-
-
-@lru_cache(maxsize=None)
-def _decide_verbatim(occupied: frozenset) -> Move:
-    _, matched = matching_rules(occupied)
-    return matched[0].move if matched else None
-
-
 def decide_move(view: View) -> Move:
     """The move (or None to stay) the gathering rule picks for a view."""
     _require_range2(view)
-    return _decide(view.occupied)
+    _, matched = matching_rules(view.occupied)
+    for rule in matched:
+        if preserves_visible_connectivity(view.occupied, rule.move):
+            return rule.move
+    return _COMPLETION.get(view.occupied)
 
 
 def decide_verbatim(view: View) -> Move:
@@ -470,7 +456,8 @@ def decide_verbatim(view: View) -> Move:
     configurations.
     """
     _require_range2(view)
-    return _decide_verbatim(view.occupied)
+    _, matched = matching_rules(view.occupied)
+    return matched[0].move if matched else None
 
 
 # --- auditable dump of the compiled table ---

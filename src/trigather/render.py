@@ -16,6 +16,8 @@ _SQRT3_HALF = 0.8660254037844386
 
 # Bounding margin of empty lattice nodes drawn around the robots.
 _MARGIN = 1
+# SVG user units between adjacent lattice nodes.
+_SCALE = 40.0
 
 
 def _bounds(cfg: Configuration) -> tuple[int, int, int, int]:
@@ -52,15 +54,15 @@ def ascii_trace(trace: Trace) -> str:
     return "\n\n".join(blocks) + "\n"
 
 
-def svg_diagram(cfg: Configuration, scale: float = 40.0) -> str:
+def svg_diagram(cfg: Configuration) -> str:
     """One SVG image: lattice nodes as outlines, robots as filled discs."""
     a_lo, a_hi, b_lo, b_hi = _bounds(cfg)
 
     def xy(a: int, b: int) -> tuple[float, float]:
-        return ((a + b / 2.0) * scale, -(b * _SQRT3_HALF) * scale)
+        return ((a + b / 2.0) * _SCALE, -(b * _SQRT3_HALF) * _SCALE)
 
     corners = [xy(a, b) for a in (a_lo, a_hi) for b in (b_lo, b_hi)]
-    pad = 0.6 * scale
+    pad = 0.6 * _SCALE
     min_x = min(x for x, _ in corners) - pad
     max_x = max(x for x, _ in corners) + pad
     min_y = min(y for _, y in corners) - pad
@@ -77,10 +79,10 @@ def svg_diagram(cfg: Configuration, scale: float = 40.0) -> str:
         for a in range(a_lo, a_hi + 1):
             x, y = xy(a, b)
             if (a, b) in cfg:
-                parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{0.34 * scale:.2f}" '
+                parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{0.34 * _SCALE:.2f}" '
                              'fill="black"/>')
             else:
-                parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{0.10 * scale:.2f}" '
+                parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{0.10 * _SCALE:.2f}" '
                              'fill="none" stroke="gray" stroke-width="1"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

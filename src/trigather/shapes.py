@@ -64,7 +64,7 @@ class ShapeGraph:
             or any(moved.get(t) == key for key, t in moved.items())
         ):
             cfg = self.shape(idx)
-            _, outcome = engine.settle(cfg, dict(zip(sorted(cfg), moves)))
+            outcome = engine.settle(cfg, dict(zip(sorted(cfg), moves)))
             assert isinstance(outcome, engine.Outcome), "a clash must collide"
             return outcome
         low = min(targets)

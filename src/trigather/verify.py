@@ -123,7 +123,9 @@ def verify_sweep(
     connected successor of an n-shape is an enumerated n-shape.  The sweep
     steps each packed shape of a :class:`ShapeGraph` once into a successor
     table, and decides once per distinct view mask: the algorithm sees each
-    distinct view once, as :func:`engine.view_of` builds it.
+    distinct view once, as :func:`engine.view_of` builds it.  That
+    ``{mask: move}`` table is the only decision memo in the program; the
+    decision functions themselves cache nothing.
     Steps-to-gather is a shape's depth below a gathered shape.  Every other
     start fails, and its outcome and trace are read off the table by
     walking it from that start.  :func:`engine.run` stays the reference

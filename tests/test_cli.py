@@ -1,6 +1,7 @@
 """Command-line contract: subcommands, formats, exit codes."""
 
 import contextlib
+import functools
 import io
 import json
 import os
@@ -8,6 +9,7 @@ import random
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -65,11 +67,21 @@ def test_run_gathered_hexagon(hexa_file, tmp_path, capsys):
     out = tmp_path / "artifacts"
     code = main(
         ["run", "--config", str(hexa_file), "--algorithm", "gather2-v1",
-         "--out-dir", str(out)]
+         "--render", "ascii", "--out-dir", str(out)]
     )
     assert code == EXIT_OK
     printed = capsys.readouterr().out
-    assert "outcome=gathered steps=0" in printed
+    assert printed == (
+        "step 0 (initial)\n"
+        "    . . . . .\n"
+        "   . * * . .\n"
+        "  . * * * .\n"
+        " . . * * .\n"
+        ". . . . .\n"
+        "\n"
+        "outcome: gathered after 0 steps\n"
+        f"outcome=gathered steps=0 trace={out / 'hexa.trace'}\n"
+    )
     trace = (out / "hexa.trace").read_text().splitlines()
     assert json.loads(trace[0])["algorithm"] == "gather2-v1"
     assert json.loads(trace[-1]) == {"type": "trailer", "outcome": "gathered", "steps": 0}
@@ -134,6 +146,29 @@ def test_verify_csv_format(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "config_id,outcome,steps,min_connected"
     assert lines[1].startswith("0,livelock:1,0,")
+
+
+def printed_json(capsys):
+    """The one-line ``--format json`` summary, without its wall time."""
+    printed = capsys.readouterr().out
+    assert printed.endswith("}\n") and printed.count("\n") == 1
+    summary = json.loads(printed)
+    assert isinstance(summary.pop("wall_time_seconds"), float)
+    return summary
+
+
+def test_verify_json_format(tmp_path, capsys):
+    code = main(["verify", "--n", "7", "--format", "json", "--out-dir", str(tmp_path / "v")])
+    assert code == EXIT_OK
+    assert printed_json(capsys) == {
+        "algorithm": "gather2-v1",
+        "n": 7,
+        "total": 3652,
+        "gathered": 3652,
+        "failures": [],
+        "max_steps_observed": 19,
+        "outcomes": {"gathered": 3652},
+    }
 
 
 def test_verify_failing_algorithm_exit_1_and_persists_traces(tmp_path, capsys):
@@ -236,8 +271,21 @@ def test_closed_stdout_keeps_the_exit_code_and_prints_no_traceback(tmp_path, unb
 def test_reused_verify_out_dir_holds_only_the_latest_traces(tmp_path, capsys):
     out = tmp_path / "o"
     failures = out / "failures"
-    assert main(["verify", "--algorithm", "gather2-verbatim", "--out-dir", str(out)]) == EXIT_FAILURE
+    assert main(["verify", "--algorithm", "gather2-verbatim", "--format", "json",
+                 "--out-dir", str(out)]) == EXIT_FAILURE
     assert len(list(failures.glob("config-*.trace"))) == 1757
+    # the json summary agrees with summary.csv, failure ids included
+    summary = printed_json(capsys)
+    rows = [line.split(",") for line in (out / "summary.csv").read_text().splitlines()[1:]]
+    assert summary == {
+        "algorithm": "gather2-verbatim",
+        "n": 7,
+        "total": len(rows),
+        "gathered": 3652 - 1757,
+        "failures": [int(cid) for cid, outcome, _, _ in rows if outcome != "gathered"],
+        "max_steps_observed": max(int(steps) for _, _, steps, _ in rows),
+        "outcomes": dict(Counter(outcome for _, outcome, _, _ in rows)),
+    }
     for name in ("notes.txt", "config-x.trace"):  # not the tool's names: kept
         (failures / name).write_text("kept\n")
     assert main(["verify", "--out-dir", str(out)]) == EXIT_OK
@@ -373,6 +421,7 @@ def test_verify_sweep_rejects_max_steps_below_one(max_steps):
 def per_start_sweep(n, algorithm, max_steps):
     """The reference verify: one engine.run per enumerated start."""
     decide, visibility = ALGORITHMS[algorithm]
+    decide = functools.cache(decide)  # decisions are pure, and views repeat across starts
     results = []
     failure_traces = []
     for idx, cfg in enumerate(enumerate_connected(n)):

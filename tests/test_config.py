@@ -50,6 +50,8 @@ def test_is_connected():
     assert is_connected(frozenset({(0, 0)}))
     assert is_connected(SE_LINE)
     assert not is_connected(frozenset({(0, 0), (2, 0)}))
+    with pytest.raises(ValueError, match="empty"):
+        is_connected(frozenset())
 
 
 def union_find_connected(cells):
@@ -103,6 +105,8 @@ def test_gathered_iff_canonical_hexagon():
 def test_canonicalize():
     assert canonicalize(frozenset({(5, 5)})) == frozenset({(0, 0)})
     assert canonicalize(frozenset({(1, 0), (2, 0)})) == frozenset({(0, 0), (1, 0)})
+    with pytest.raises(ValueError, match="empty"):
+        canonicalize(frozenset())
     for cfg in enumerate_connected(4)[::7]:
         moved = translate(cfg, (-3, 9))
         assert canonicalize(moved) == cfg

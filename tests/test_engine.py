@@ -192,6 +192,8 @@ def test_run_step_limit():
     tr = run(SE_LINE, decide_move, 2, max_steps=5)
     assert tr.outcome.kind == OutcomeKind.STEP_LIMIT
     assert len(tr.steps) == 5
+    with pytest.raises(ValueError, match="max_steps must be positive"):
+        run(SE_LINE, decide_move, 2, max_steps=0)
 
 
 def test_run_detects_translation_livelock():

@@ -1,5 +1,6 @@
 """The gathering rule: base determination, guard chain, audits, dump."""
 
+import functools
 import itertools
 import os
 
@@ -199,9 +200,10 @@ def test_every_completion_rule_is_necessary(n7_views):
     gather2-v1 only once a robot sees the dropped view, so the witnesses
     are looked for among the starts that show it from the outset.
     """
+    decide = functools.cache(decide_move)  # shared by all rules: views repeat across runs
     for occupied, _ in COMPLETION_RULES:
         def dropped(v, occupied=occupied):
-            return None if v.occupied == occupied else decide_move(v)
+            return None if v.occupied == occupied else decide(v)
 
         failing = []
         for cfg in dict.fromkeys(n7_views.get(occupied, ())):

@@ -122,6 +122,12 @@ def test_text_format_rejects_malformed():
     bad[0] = "000000 E"
     with pytest.raises(ValueError):
         table_from_text("\n".join(bad))
+    for line in ("000000", "000000 stay extra"):
+        with pytest.raises(ValueError, match="bad rule line"):
+            table_from_text("\n".join([line, *good[1:]]))
+    for mask in ("00000", "0000000", "00000x"):
+        with pytest.raises(ValueError, match="bad bitmask"):
+            table_from_text("\n".join([f"{mask} stay", *good[1:]]))
 
 
 def test_table_rejects_actions_that_are_not_moves():
