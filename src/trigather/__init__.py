@@ -25,7 +25,6 @@ from .engine import (
     View,
     observe,
     run,
-    step,
 )
 from .gather2 import ALGORITHM_ID, base_label, decide_move, dump_guards
 from .grid import (

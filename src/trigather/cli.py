@@ -210,8 +210,8 @@ def _cmd_dump_guards(ns: argparse.Namespace) -> int:
 
 
 def _step_budget(text: str) -> int:
-    """The ``--max-steps`` value: a decimal integer of at least 1."""
-    if not text.isdigit() or int(text) < 1:
+    """The ``--max-steps`` value: ASCII decimal digits, at least 1."""
+    if not (text.isascii() and text.isdigit()) or int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
     return int(text)
 

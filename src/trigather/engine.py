@@ -19,6 +19,10 @@ A robot entering a node that its occupant is simultaneously vacating is
 legal.  Runs are deterministic, so a revisit of an earlier configuration
 (up to translation) proves an infinite loop and is reported as a livelock;
 an all-stay cycle that is not gathered is a livelock of length 1.
+
+One cycle is :func:`compute_decisions` then :func:`settle`, the only
+public call that runs a cycle to its end; on the gathered hexagon it
+returns the outcome ``gathered``, not the hexagon.
 """
 
 from __future__ import annotations
@@ -240,13 +244,6 @@ def apply_decisions(
     nxt = frozenset(targets.values())
     assert len(nxt) == len(cfg), "collision check must preserve robot count"
     return nxt
-
-
-def step(
-    cfg: Configuration, decide: DecisionFunction, visibility: int
-) -> Configuration | CollisionReport:
-    """One full Look-Compute-Move cycle for every robot at once."""
-    return apply_decisions(cfg, compute_decisions(cfg, decide, visibility))
 
 
 def settle(cfg: Configuration, decisions: dict[TriCoord, Move]) -> Outcome | Configuration:

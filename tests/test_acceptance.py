@@ -18,7 +18,14 @@ from trigather.config import (
     gathered_hexagon,
     translate,
 )
-from trigather.engine import CollisionKind, CollisionReport, OutcomeKind, observe
+from trigather.engine import (
+    CollisionKind,
+    Outcome,
+    OutcomeKind,
+    compute_decisions,
+    observe,
+    settle,
+)
 from trigather.gather2 import decide_move, dump_guards
 from trigather.grid import DIRECTIONS, Direction, neighbor
 from trigather.range1 import (
@@ -91,11 +98,11 @@ def test_summary_csv_bytes_pinned(sweep):
 
 def test_criterion_4_quiescence_fixed_point():
     hexa = gathered_hexagon()
-    out = engine.step(hexa, decide_move, 2)
-    assert out == hexa
+    out = settle(hexa, compute_decisions(hexa, decide_move, 2))
+    assert out == Outcome(OutcomeKind.GATHERED)
     for robot in hexa:
         assert decide_move(observe(hexa, robot, 2)) is None
-    report(4, "one step on the gathered configuration returns it unchanged")
+    report(4, "every robot stays on the gathered configuration: one cycle settles as gathered")
 
 
 def test_criterion_5_step_bound(sweep):
@@ -136,18 +143,24 @@ def test_criterion_7_collision_semantics():
     )
     pair = frozenset({(0, 0), (1, 0)})
 
-    swap = engine.step(pair, table({frozenset({E}): E, frozenset({W}): W}), 1)
-    assert isinstance(swap, CollisionReport) and swap.kind == CollisionKind.SWAP
+    decide = table({frozenset({E}): E, frozenset({W}): W})
+    swap = settle(pair, compute_decisions(pair, decide, 1))
+    assert swap.kind == OutcomeKind.COLLISION and swap.collision.kind == CollisionKind.SWAP
+    assert swap.collision.participants == (((0, 0), E), ((1, 0), W))
 
-    onto = engine.step(pair, table({frozenset({E}): E}), 1)
-    assert isinstance(onto, CollisionReport)
-    assert onto.kind == CollisionKind.MOVE_ONTO_STATIONARY
+    onto = settle(pair, compute_decisions(pair, table({frozenset({E}): E}), 1))
+    assert onto.kind == OutcomeKind.COLLISION
+    assert onto.collision.kind == CollisionKind.MOVE_ONTO_STATIONARY
+    assert onto.collision.participants == (((0, 0), E), ((1, 0), None))
 
     trio = frozenset({(0, 0), (1, -1), (1, -2)})
-    same = engine.step(trio, table({frozenset({SE}): SW, frozenset({NE}): NW}), 1)
-    assert isinstance(same, CollisionReport) and same.kind == CollisionKind.SAME_TARGET
+    decide = table({frozenset({SE}): SW, frozenset({NE}): NW})
+    same = settle(trio, compute_decisions(trio, decide, 1))
+    assert same.kind == OutcomeKind.COLLISION and same.collision.kind == CollisionKind.SAME_TARGET
+    assert same.collision.participants == (((0, 0), SW), ((1, -2), NW))
 
-    legal = engine.step(pair, table({frozenset({E}): E, frozenset({W}): E}), 1)
+    decide = table({frozenset({E}): E, frozenset({W}): E})
+    legal = settle(pair, compute_decisions(pair, decide, 1))
     assert legal == frozenset({(1, 0), (2, 0)})
     report(7, "swap, move-onto-stationary, same-target detected; vacate-and-enter legal")
 

@@ -328,7 +328,7 @@ def test_verify_sweep_merges_in_canonical_order():
     assert summary.total == summary.gathered + len(summary.failures)
 
 
-@pytest.mark.parametrize("value", ["0", "-3"])
+@pytest.mark.parametrize("value", ["0", "-3", "²"])
 @pytest.mark.parametrize(
     "argv",
     [
@@ -341,7 +341,7 @@ def test_verify_sweep_merges_in_canonical_order():
 def test_max_steps_below_one_exits_2(argv, value, tmp_path, capsys):
     assert main(argv + ["--max-steps", value, "--out-dir", str(tmp_path)]) == EXIT_USAGE
     err = capsys.readouterr().err
-    assert "error: argument --max-steps" in err
+    assert "error: argument --max-steps: must be an integer of at least 1" in err
     assert "Traceback" not in err
 
 
@@ -466,11 +466,7 @@ def test_verify_sweep_matches_per_start_runs_of_colliding_tables(seed, n, monkey
     assert late_collisions > 0 or n < 3
 
 
-@pytest.mark.slow
-@pytest.mark.skipif(
-    not os.environ.get("TRIGATHER_SLOW"),
-    reason="n=8 per-start runs, ~12s each; set TRIGATHER_SLOW=1 to run",
-)
+@pytest.mark.slow  # n=8 per-start runs
 @pytest.mark.parametrize(
     ("algorithm", "max_steps"),
     [("gather2-v1", 500), ("gather2-v1", 7), ("gather2-verbatim", 500)],

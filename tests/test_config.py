@@ -1,6 +1,5 @@
 """Configurations: predicates, canonical form, enumeration, file payload."""
 
-import os
 from itertools import combinations
 
 import pytest
@@ -151,11 +150,7 @@ def test_enumerate_matches_tuple_growth_in_order(n):
     assert enumerate_connected(n) == enumerate_connected_tuples(n)
 
 
-@pytest.mark.slow
-@pytest.mark.skipif(
-    not os.environ.get("TRIGATHER_SLOW"),
-    reason="n=8 tuple growth; set TRIGATHER_SLOW=1 to run",
-)
+@pytest.mark.slow  # n=8 tuple growth
 def test_enumerate_n8_matches_tuple_growth_in_order():
     shapes = enumerate_connected(8)
     assert len(shapes) == 16689
@@ -188,11 +183,7 @@ def test_enumerated_keys_are_canonical_and_unpack_to_shared_nodes():
     assert len(nodes) == len({node for keys in enumerate_keys(5) for node in unpack(keys)})
 
 
-@pytest.mark.slow
-@pytest.mark.skipif(
-    not os.environ.get("TRIGATHER_SLOW"),
-    reason="~100s brute force; set TRIGATHER_SLOW=1 to run",
-)
+@pytest.mark.slow  # n=7 brute force
 def test_enumerate_n7_matches_anchored_oracle():
     # independent confirmation of the headline count (also covered for
     # n<=6 by the acceptance suite)
@@ -205,6 +196,8 @@ def test_config_json_round_trip():
     again = config_from_json(text)
     assert again == canonicalize(cfg)
     assert config_to_json(again) == config_to_json(cfg)
+    # keys other than "robots" are ignored
+    assert config_from_json('{"robots": [[0, 0], [1, 0]], "extra": 1}') == {(0, 0), (1, 0)}
 
 
 def test_config_json_rejects_duplicates_and_malformed():

@@ -3,15 +3,16 @@
 import pytest
 
 from trigather import engine
-from trigather.config import enumerate_connected, gathered_hexagon, translate
+from trigather.config import canonicalize, enumerate_connected, gathered_hexagon, translate
 from trigather.engine import (
     CollisionKind,
-    CollisionReport,
+    Outcome,
     OutcomeKind,
     View,
+    compute_decisions,
     observe,
     run,
-    step,
+    settle,
     trace_to_lines,
 )
 from trigather.gather2 import decide_move
@@ -122,35 +123,37 @@ def test_observe_two_ring_layout():
 
 def test_step_swap_collision():
     cfg = frozenset({(0, 0), (1, 0)})
-    out = step(cfg, table({frozenset({E}): E, frozenset({W}): W}), 1)
-    assert isinstance(out, CollisionReport)
-    assert out.kind == CollisionKind.SWAP
-    assert {c for c, _ in out.participants} == cfg
+    out = settle(cfg, compute_decisions(cfg, table({frozenset({E}): E, frozenset({W}): W}), 1))
+    assert out.kind == OutcomeKind.COLLISION
+    assert out.collision.kind == CollisionKind.SWAP
+    assert out.collision.participants == (((0, 0), E), ((1, 0), W))
 
 
 def test_step_move_onto_stationary():
     cfg = frozenset({(0, 0), (1, 0)})
-    out = step(cfg, table({frozenset({E}): E}), 1)
-    assert isinstance(out, CollisionReport)
-    assert out.kind == CollisionKind.MOVE_ONTO_STATIONARY
+    out = settle(cfg, compute_decisions(cfg, table({frozenset({E}): E}), 1))
+    assert out.kind == OutcomeKind.COLLISION
+    assert out.collision.kind == CollisionKind.MOVE_ONTO_STATIONARY
+    assert out.collision.participants == (((0, 0), E), ((1, 0), None))
 
 
 def test_step_same_target():
     cfg = frozenset({(0, 0), (1, -1), (1, -2)})
-    out = step(cfg, table({frozenset({SE}): SW, frozenset({NE}): NW}), 1)
-    assert isinstance(out, CollisionReport)
-    assert out.kind == CollisionKind.SAME_TARGET
-    assert {c for c, _ in out.participants} == {(0, 0), (1, -2)}
+    out = settle(cfg, compute_decisions(cfg, table({frozenset({SE}): SW, frozenset({NE}): NW}), 1))
+    assert out.kind == OutcomeKind.COLLISION
+    assert out.collision.kind == CollisionKind.SAME_TARGET
+    assert out.collision.participants == (((0, 0), SW), ((1, -2), NW))
 
 
 def test_step_vacate_and_enter_is_legal():
     cfg = frozenset({(0, 0), (1, 0)})
-    out = step(cfg, table({frozenset({E}): E, frozenset({W}): E}), 1)
+    out = settle(cfg, compute_decisions(cfg, table({frozenset({E}): E, frozenset({W}): E}), 1))
     assert out == frozenset({(1, 0), (2, 0)})
 
 
-def test_step_all_stay_is_identity():
-    assert step(SE_LINE, all_stay, 1) == SE_LINE
+def test_step_all_stay_line_is_livelock_1():
+    out = settle(SE_LINE, compute_decisions(SE_LINE, all_stay, 1))
+    assert out == Outcome(OutcomeKind.LIVELOCK, cycle_length=1)
 
 
 def test_run_gathered_hexagon_zero_steps():
@@ -179,7 +182,9 @@ def test_gathered_outcome_implies_quiescent_gathered_final():
 
     tr = run(SE_LINE, decide_move, 2)
     assert is_gathered(tr.final)
-    assert step(tr.final, decide_move, 2) == tr.final
+    assert settle(tr.final, compute_decisions(tr.final, decide_move, 2)) == Outcome(
+        OutcomeKind.GATHERED
+    )
 
 
 def test_run_rejects_disconnected_start():
@@ -233,12 +238,16 @@ def test_run_disconnection_is_terminal():
 
 
 def test_livelock_cycle_resimulates():
+    # all stay: one more cycle of the final configuration is the same livelock
     tr = run(SE_LINE, all_stay, 1)
-    length = tr.outcome.cycle_length
+    assert settle(tr.final, compute_decisions(tr.final, all_stay, 1)) == tr.outcome
+    # the pair drifts northeast: cycle_length more cycles repeat its shape
+    shift = table({frozenset({E}): NE, frozenset({W}): NE})
+    tr = run(frozenset({(0, 0), (1, 0)}), shift, 1)
     state = tr.final
-    for _ in range(length):
-        state = step(state, all_stay, 1)
-    assert state == tr.final
+    for _ in range(tr.outcome.cycle_length):
+        state = settle(state, compute_decisions(state, shift, 1))
+    assert canonicalize(state) == canonicalize(tr.final) and state != tr.final
 
 
 # Exact trace bytes: key order, separators and field names are the format.

@@ -2,7 +2,6 @@
 
 import functools
 import itertools
-import os
 
 import pytest
 
@@ -88,7 +87,8 @@ def test_gathered_hexagon_is_quiescent():
     hexa = gathered_hexagon()
     for robot in hexa:
         assert decide_move(observe(hexa, robot, 2)) is None
-    assert engine.step(hexa, decide_move, 2) == hexa
+    decisions = engine.compute_decisions(hexa, decide_move, 2)
+    assert engine.settle(hexa, decisions) == engine.Outcome(engine.OutcomeKind.GATHERED)
 
 
 def test_requires_range2():
@@ -180,11 +180,7 @@ def test_screen_matches_all_pairs_definition_on_reached_views(n7_views):
         assert preserves_visible_connectivity(occ, d) == screen_all_pairs(occ, d), (occ, d)
 
 
-@pytest.mark.slow
-@pytest.mark.skipif(
-    not os.environ.get("TRIGATHER_SLOW"),
-    reason="2^18 views x 6 moves against the oracle, ~100s; set TRIGATHER_SLOW=1 to run",
-)
+@pytest.mark.slow  # 2^18 views x 6 moves against the oracle
 def test_screen_matches_all_pairs_definition_on_every_view():
     for bits in itertools.product((0, 1), repeat=18):
         occ = frozenset(l for l, b in zip(ALL_LABELS, bits) if b)
