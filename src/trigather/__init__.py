@@ -37,7 +37,6 @@ from .grid import (
     label_of,
     neighbor,
     neighbors,
-    opposite,
 )
 from .range1 import BUILTIN_CONFIGS, RuleTable, check_table, table_to_decision
 

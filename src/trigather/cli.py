@@ -175,7 +175,7 @@ def _cmd_run(ns: argparse.Namespace) -> int:
     out_dir = _claim_dir(ns.out_dir)
     decide, visibility = ALGORITHMS[ns.algorithm]
     trace = engine.run(cfg, decide, visibility, ns.max_steps)
-    stem = Path(ns.config).stem or "run"
+    stem = Path(ns.config).stem
     trace_path = out_dir / f"{stem}.trace"
     _write(trace_path, "\n".join(engine.trace_to_lines(trace, ns.algorithm)) + "\n")
     _remove_earlier(out_dir, f"{stem}-step", ".svg")

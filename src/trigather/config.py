@@ -119,9 +119,9 @@ def canonicalize(cfg: Configuration) -> Configuration:
     return frozenset((a - ma, b - mb) for a, b in cfg)
 
 
-def gathered_hexagon(center: TriCoord = (0, 0)) -> Configuration:
-    """The 7-robot gathering-achieved shape: a center plus its full ring."""
-    return frozenset((center,) + neighbors(center))
+def gathered_hexagon() -> Configuration:
+    """The 7-robot gathering-achieved shape: the origin plus its full ring."""
+    return frozenset(((0, 0),) + neighbors((0, 0)))
 
 
 def enumerate_keys(n: int) -> list[tuple[int, ...]]:

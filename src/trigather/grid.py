@@ -40,11 +40,6 @@ class Direction(Enum):
 DIRECTIONS: tuple[Direction, ...] = tuple(Direction)
 
 
-def opposite(d: Direction) -> Direction:
-    da, db = d.value
-    return Direction((-da, -db))
-
-
 def neighbor(c: TriCoord, d: Direction) -> TriCoord:
     """The adjacent node one step from ``c`` in direction ``d``."""
     da, db = d.value

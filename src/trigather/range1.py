@@ -26,7 +26,6 @@ neighbor has no information to move on without risking disconnection.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
 
 from .config import Configuration, make_configuration
 from .engine import (
@@ -45,14 +44,6 @@ ACTIONS: tuple[Move, ...] = (None,) + DIRECTIONS
 TABLE_SIZE = 64
 
 
-def mask_of(dirs: Iterable[Direction]) -> int:
-    """Bitmask of a neighbor set; bit i is DIRECTIONS[i] (E..SE = 0..5)."""
-    mask = 0
-    for d in dirs:
-        mask |= 1 << DIRECTIONS.index(d)
-    return mask
-
-
 @dataclass(frozen=True, slots=True)
 class RuleTable:
     """A total view -> action map over the 64 range-1 occupancy patterns."""
@@ -68,18 +59,6 @@ class RuleTable:
                 raise ValueError(f"mask {mask:06b}: {action!r} is neither stay (None) nor a Direction")
         if self.actions[0] is not None:
             raise ValueError("the all-empty view must map to stay")
-
-    @classmethod
-    def all_stay(cls) -> "RuleTable":
-        return cls((None,) * TABLE_SIZE)
-
-    @classmethod
-    def from_moves(cls, moves: Mapping[frozenset, Move]) -> "RuleTable":
-        """Build from {neighbor-direction-set: action}; unmentioned views stay."""
-        actions: list[Move] = [None] * TABLE_SIZE
-        for dirs, move in moves.items():
-            actions[mask_of(dirs)] = move
-        return cls(tuple(actions))
 
 
 def table_to_decision(table: RuleTable) -> DecisionFunction:

@@ -11,15 +11,10 @@ from . import engine, gather2
 from .shapes import Edge, ShapeGraph
 
 
-def _all_stay(view: engine.View) -> engine.Move:
-    return None
-
-
 # algorithm id -> (decision function, visibility range)
 ALGORITHMS: dict[str, tuple[engine.DecisionFunction, int]] = {
     gather2.ALGORITHM_ID: (gather2.decide_move, 2),
     gather2.ALGORITHM_ID_VERBATIM: (gather2.decide_verbatim, 2),
-    "all-stay": (_all_stay, 2),
 }
 
 
@@ -28,7 +23,11 @@ class ConfigResult:
     config_id: int
     outcome: engine.Outcome
     steps: int
-    min_connected: bool
+
+    @property
+    def min_connected(self) -> bool:
+        """Connectivity held after every step: a run ends at its first disconnected one."""
+        return self.outcome.kind != engine.OutcomeKind.DISCONNECTED
 
     @property
     def gathered(self) -> bool:
@@ -171,10 +170,10 @@ def verify_sweep(
     failure_traces = []
     for idx in range(len(graph)):
         if depth.get(idx, max_steps) < max_steps:
-            results.append(ConfigResult(idx, gathered, depth[idx], True))
+            results.append(ConfigResult(idx, gathered, depth[idx]))
             continue
         trace = _walk(graph, rows, idx, visibility, max_steps)
-        results.append(ConfigResult(idx, trace.outcome, len(trace.steps), trace.min_connected))
+        results.append(ConfigResult(idx, trace.outcome, len(trace.steps)))
         failure_traces.append((idx, engine.trace_to_lines(trace, algorithm)))
     summary = VerificationSummary(algorithm, n, tuple(results), time.perf_counter() - started)
     return summary, failure_traces

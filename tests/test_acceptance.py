@@ -11,6 +11,7 @@ import time
 import pytest
 
 from oracles import count_connected_anchored
+from rule_tables import ALL_STAY, from_moves
 from trigather import engine
 from trigather.cli import main, summary_csv_rows
 from trigather.config import (
@@ -136,7 +137,7 @@ def test_criterion_6_determinism_and_equivariance():
 
 def test_criterion_7_collision_semantics():
     def table(moves):
-        return table_to_decision(RuleTable.from_moves(moves))
+        return table_to_decision(from_moves(moves))
 
     E, W, NE, NW, SW, SE = (
         Direction.E, Direction.W, Direction.NE, Direction.NW, Direction.SW, Direction.SE,
@@ -166,11 +167,11 @@ def test_criterion_7_collision_semantics():
 
 
 def test_criterion_8_range1_replay():
-    all_stay = check_table(RuleTable.all_stay(), BUILTIN_CONFIGS["fig5a-diagonal"].robots)
+    all_stay = check_table(ALL_STAY, BUILTIN_CONFIGS["fig5a-diagonal"].robots)
     assert all_stay.outcome.kind == OutcomeKind.LIVELOCK
     assert all_stay.outcome.cycle_length == 1
 
-    seed = RuleTable.from_moves(
+    seed = from_moves(
         {frozenset({Direction.SE}): Direction.SW, frozenset({Direction.NE}): Direction.NW}
     )
     prop1a = check_table(seed, BUILTIN_CONFIGS["prop1a-geometry"].robots)

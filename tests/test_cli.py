@@ -14,6 +14,7 @@ from collections import Counter
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from rule_tables import ALL_STAY, stay
 from trigather import cli, engine, verify
 from trigather.cli import ALGORITHMS, EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
 from trigather.config import config_to_json, enumerate_connected, gathered_hexagon
@@ -34,6 +35,12 @@ def hexa_file(tmp_path):
     path = tmp_path / "hexa.json"
     path.write_text(config_to_json(gathered_hexagon()))
     return path
+
+
+@pytest.fixture()
+def all_stay(monkeypatch):
+    """Registers ``all-stay``, a baseline where every robot stays, as an algorithm id."""
+    monkeypatch.setitem(verify.ALGORITHMS, "all-stay", (stay, 2))
 
 
 @pytest.fixture()
@@ -132,9 +139,10 @@ def test_verify_informational_for_small_n(tmp_path, capsys):
 
 
 def test_verify_unknown_algorithm_exit_2(tmp_path, capsys):
-    assert main(
-        ["verify", "--n", "2", "--algorithm", "nope", "--out-dir", str(tmp_path)]
-    ) == EXIT_USAGE
+    for algorithm in ("nope", "all-stay"):
+        assert main(
+            ["verify", "--n", "2", "--algorithm", algorithm, "--out-dir", str(tmp_path)]
+        ) == EXIT_USAGE
 
 
 def test_verify_csv_format(tmp_path, capsys):
@@ -171,7 +179,7 @@ def test_verify_json_format(tmp_path, capsys):
     }
 
 
-def test_verify_failing_algorithm_exit_1_and_persists_traces(tmp_path, capsys):
+def test_verify_failing_algorithm_exit_1_and_persists_traces(all_stay, tmp_path, capsys):
     out = tmp_path / "v"
     code = main(
         ["verify", "--n", "7", "--algorithm", "all-stay", "--jobs", "1",
@@ -187,7 +195,7 @@ def test_verify_failing_algorithm_exit_1_and_persists_traces(tmp_path, capsys):
 
 def test_range1_builtin_and_table_file(tmp_path, capsys):
     table_file = tmp_path / "allstay.tbl"
-    table_file.write_text(table_to_text(RuleTable.all_stay()))
+    table_file.write_text(table_to_text(ALL_STAY))
     code = main(
         ["range1", "--table", str(table_file), "--config", "fig5a-diagonal",
          "--out-dir", str(tmp_path / "r")]
@@ -210,7 +218,7 @@ def test_range1_malformed_table_exit_2(tmp_path, capsys):
 
 def test_range1_unknown_config_exit_2(tmp_path, capsys):
     table_file = tmp_path / "allstay.tbl"
-    table_file.write_text(table_to_text(RuleTable.all_stay()))
+    table_file.write_text(table_to_text(ALL_STAY))
     code = main(
         ["range1", "--table", str(table_file), "--config", "no-such-thing",
          "--out-dir", str(tmp_path)]
@@ -321,7 +329,7 @@ def test_cli_calls_the_verify_module():
     assert cli.ALGORITHMS is verify.ALGORITHMS
 
 
-def test_verify_sweep_merges_in_canonical_order():
+def test_verify_sweep_results_are_in_enumeration_order_and_add_up():
     summary, _ = verify_sweep(3, "gather2-v1", max_steps=50)
     assert summary.total == 11
     assert [r.config_id for r in summary.results] == list(range(11))
@@ -371,7 +379,7 @@ def test_unwritable_output_path_exits_2(command, block, hexa_file, tmp_path, cap
     monkeypatch.setattr(cli.configs, "enumerate_connected", no_enumeration)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "start.json").write_text(hexa_file.read_text())
-    (tmp_path / "rules.tbl").write_text(table_to_text(RuleTable.all_stay()))
+    (tmp_path / "rules.tbl").write_text(table_to_text(ALL_STAY))
     blocker = target = tmp_path / "blocker"
     if block == "under-file":
         target = blocker / "x"
@@ -404,7 +412,7 @@ def test_unwritable_output_path_exits_2(command, block, hexa_file, tmp_path, cap
 def test_deeply_nested_config_exits_2(argv, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "deep.json").write_text('{"robots": ' + "[" * 5000 + "]" * 5000 + "}")
-    (tmp_path / "rules.tbl").write_text(table_to_text(RuleTable.all_stay()))
+    (tmp_path / "rules.tbl").write_text(table_to_text(ALL_STAY))
     assert main(argv) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error: deep.json: ")
@@ -426,7 +434,9 @@ def per_start_sweep(n, algorithm, max_steps):
     failure_traces = []
     for idx, cfg in enumerate(enumerate_connected(n)):
         trace = engine.run(cfg, decide, visibility, max_steps)
-        results.append(ConfigResult(idx, trace.outcome, len(trace.steps), trace.min_connected))
+        result = ConfigResult(idx, trace.outcome, len(trace.steps))
+        assert result.min_connected == trace.min_connected
+        results.append(result)
         if trace.outcome.kind != engine.OutcomeKind.GATHERED:
             failure_traces.append((idx, engine.trace_to_lines(trace, algorithm)))
     return tuple(results), failure_traces
@@ -438,7 +448,7 @@ BUDGETS = {"gather2-v1": 19, "gather2-verbatim": 500, "all-stay": 5}
 
 @pytest.mark.parametrize("n", range(1, 8))
 @pytest.mark.parametrize("algorithm", sorted(BUDGETS))
-def test_verify_sweep_matches_per_start_runs(algorithm, n):
+def test_verify_sweep_matches_per_start_runs(all_stay, algorithm, n):
     summary, failure_traces = verify_sweep(n, algorithm, BUDGETS[algorithm])
     results, expected_traces = per_start_sweep(n, algorithm, BUDGETS[algorithm])
     assert summary.results == results
@@ -482,7 +492,7 @@ def test_verify_sweep_matches_per_start_runs_at_n8(algorithm, max_steps):
 
 # --- the exit-code contract under arbitrary argv and file payloads ---
 
-_TABLE_LINES = table_to_text(RuleTable.all_stay()).splitlines()
+_TABLE_LINES = table_to_text(ALL_STAY).splitlines()
 _json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 3) | st.floats(allow_nan=False)
     | st.text(max_size=4),

@@ -90,7 +90,7 @@ def test_is_connected_matches_union_find_on_disc_subsets():
 
 def test_is_gathered():
     assert is_gathered(gathered_hexagon())
-    assert is_gathered(gathered_hexagon((4, -7)))
+    assert is_gathered(translate(gathered_hexagon(), (4, -7)))
     assert not is_gathered(SE_LINE)
     ring_only = frozenset(neighbors((0, 0)))
     assert not is_gathered(ring_only)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from rule_tables import from_moves, mask_of, stay
 from trigather import engine
 from trigather.config import canonicalize, enumerate_connected, gathered_hexagon, translate
 from trigather.engine import (
@@ -17,7 +18,7 @@ from trigather.engine import (
 )
 from trigather.gather2 import decide_move
 from trigather.grid import Direction, distance, label_of, neighbor
-from trigather.range1 import BUILTIN_CONFIGS, RuleTable, mask_of, table_to_decision
+from trigather.range1 import BUILTIN_CONFIGS, table_to_decision
 
 E, NE, NW, W, SW, SE = (
     Direction.E, Direction.NE, Direction.NW, Direction.W, Direction.SW, Direction.SE,
@@ -26,12 +27,8 @@ E, NE, NW, W, SW, SE = (
 SE_LINE = frozenset((k, -k) for k in range(7))
 
 
-def all_stay(view):
-    return None
-
-
 def table(moves):
-    return table_to_decision(RuleTable.from_moves(moves))
+    return table_to_decision(from_moves(moves))
 
 
 def test_view_validation():
@@ -152,7 +149,7 @@ def test_step_vacate_and_enter_is_legal():
 
 
 def test_step_all_stay_line_is_livelock_1():
-    out = settle(SE_LINE, compute_decisions(SE_LINE, all_stay, 1))
+    out = settle(SE_LINE, compute_decisions(SE_LINE, stay, 1))
     assert out == Outcome(OutcomeKind.LIVELOCK, cycle_length=1)
 
 
@@ -163,7 +160,7 @@ def test_run_gathered_hexagon_zero_steps():
 
 
 def test_run_all_stay_line_is_livelock_1():
-    tr = run(SE_LINE, all_stay, 1)
+    tr = run(SE_LINE, stay, 1)
     assert tr.outcome.kind == OutcomeKind.LIVELOCK
     assert tr.outcome.cycle_length == 1
     assert tr.steps == ()
@@ -189,7 +186,7 @@ def test_gathered_outcome_implies_quiescent_gathered_final():
 
 def test_run_rejects_disconnected_start():
     with pytest.raises(ValueError):
-        run(frozenset({(0, 0), (3, 3)}), all_stay, 1)
+        run(frozenset({(0, 0), (3, 3)}), stay, 1)
 
 
 def test_run_step_limit():
@@ -239,8 +236,8 @@ def test_run_disconnection_is_terminal():
 
 def test_livelock_cycle_resimulates():
     # all stay: one more cycle of the final configuration is the same livelock
-    tr = run(SE_LINE, all_stay, 1)
-    assert settle(tr.final, compute_decisions(tr.final, all_stay, 1)) == tr.outcome
+    tr = run(SE_LINE, stay, 1)
+    assert settle(tr.final, compute_decisions(tr.final, stay, 1)) == tr.outcome
     # the pair drifts northeast: cycle_length more cycles repeat its shape
     shift = table({frozenset({E}): NE, frozenset({W}): NE})
     tr = run(frozenset({(0, 0), (1, 0)}), shift, 1)
@@ -273,7 +270,7 @@ GOLDEN_TRACES = {
          '"outcome":"collision","steps":0,"type":"trailer"}'],
     ),
     "livelock": (
-        SE_LINE, all_stay, 1, "all-stay",
+        SE_LINE, stay, 1, "all-stay",
         ['{"algorithm":"all-stay","range":1,'
          '"robots":[[0,0],[1,-1],[2,-2],[3,-3],[4,-4],[5,-5],[6,-6]],"type":"header"}',
          '{"cycle_length":1,"outcome":"livelock","steps":0,"type":"trailer"}'],

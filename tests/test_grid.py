@@ -15,7 +15,6 @@ from trigather.grid import (
     label_of,
     neighbor,
     neighbors,
-    opposite,
 )
 
 coords = st.tuples(st.integers(-30, 30), st.integers(-30, 30))
@@ -50,15 +49,6 @@ def test_six_neighbors_distinct_and_adjacent():
         assert len(set(ring)) == 6
         assert all(distance(c, nb) == 1 for nb in ring)
         assert ring == tuple(neighbor(c, d) for d in DIRECTIONS)
-
-
-def test_opposites():
-    assert opposite(Direction.E) is Direction.W
-    assert opposite(Direction.NE) is Direction.SW
-    assert opposite(Direction.NW) is Direction.SE
-    for d in DIRECTIONS:
-        assert opposite(opposite(d)) is d
-        assert neighbor(neighbor((2, 5), d), opposite(d)) == (2, 5)
 
 
 def test_distance_basics():

@@ -7,6 +7,7 @@ from itertools import combinations
 
 import pytest
 
+from rule_tables import ALL_STAY, from_moves, mask_of
 from trigather import engine, range1
 from trigather.config import canonicalize, is_connected
 from trigather.engine import OutcomeKind, View, observe
@@ -18,7 +19,6 @@ from trigather.grid import (
     label_of,
     neighbor,
     neighbors,
-    opposite,
 )
 from trigather.range1 import (
     ACTIONS,
@@ -27,7 +27,6 @@ from trigather.range1 import (
     TABLE_SIZE,
     check_table,
     constrained_actions,
-    mask_of,
     table_from_text,
     table_to_decision,
     table_to_text,
@@ -50,8 +49,8 @@ def satisfies_constraints(table):
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
-SE_ONLY = RuleTable.from_moves({frozenset({SE}): SW})
-PROOF_SEED = RuleTable.from_moves({frozenset({SE}): SW, frozenset({NE}): NW})
+SE_ONLY = from_moves({frozenset({SE}): SW})
+PROOF_SEED = from_moves({frozenset({SE}): SW, frozenset({NE}): NW})
 
 
 def test_mask_bit_order():
@@ -75,13 +74,13 @@ def test_table_freezes_its_actions():
     source = [None] * 64
     table = RuleTable(source)
     source[1] = Direction.E
-    assert table == RuleTable.all_stay()
-    assert hash(table) == hash(RuleTable.all_stay())
+    assert table == ALL_STAY
+    assert hash(table) == hash(ALL_STAY)
     assert table.actions == (None,) * 64
 
 
 def test_all_stay_table():
-    decide = table_to_decision(RuleTable.all_stay())
+    decide = table_to_decision(ALL_STAY)
     assert decide(View(1, frozenset({(2, 0), (-2, 0)}))) is None
 
 
@@ -94,7 +93,7 @@ def test_table_reads_only_neighbor_labels():
 
 
 def test_opposite_pair_view_stays_under_constraints():
-    table = RuleTable.all_stay()
+    table = ALL_STAY
     decide = table_to_decision(table)
     assert decide(View(1, frozenset({(2, 0), (-2, 0)}))) is None
     assert satisfies_constraints(table)
@@ -109,7 +108,7 @@ def test_text_format_round_trip():
 
 
 def test_text_format_rejects_malformed():
-    good = table_to_text(RuleTable.all_stay()).splitlines()
+    good = table_to_text(ALL_STAY).splitlines()
     with pytest.raises(ValueError):
         table_from_text("\n".join(good[:-1]))  # missing a line
     with pytest.raises(ValueError):
@@ -134,9 +133,9 @@ def test_table_rejects_actions_that_are_not_moves():
     with pytest.raises(ValueError, match="mask 000001"):
         RuleTable((None,) + ("E",) * 63)
     with pytest.raises(ValueError, match="mask 100000"):
-        RuleTable.from_moves({frozenset({SE}): "SW"})
+        from_moves({frozenset({SE}): "SW"})
     with pytest.raises(ValueError, match="mask 000010"):
-        RuleTable.from_moves({frozenset({NE}): 1})
+        from_moves({frozenset({NE}): 1})
 
 
 def test_constrained_actions():
@@ -145,7 +144,7 @@ def test_constrained_actions():
     for d, pair in flanks.items():
         assert constrained_actions(mask_of([d])) == (None,) + pair
     for d in (E, NE, NW):
-        assert constrained_actions(mask_of([d, opposite(d)])) == (None,)
+        assert constrained_actions(mask_of([d, DIRECTIONS[DIRECTIONS.index(d) + 3]])) == (None,)
     bisectors = {(E, SW): SE, (SE, W): SW, (SW, NW): W, (W, NE): NW, (NW, E): NE, (NE, SE): E}
     for pair, bisector in bisectors.items():
         assert constrained_actions(mask_of(pair)) == (None, bisector)
@@ -234,7 +233,7 @@ def test_prop1_provenance_is_a_minimal_same_target_witness(name):
     witness = PROP1_WITNESSES[name]
     for robot, (seen, _) in witness.items():
         assert _sees(cfg, robot) == seen
-    table = RuleTable.from_moves({frozenset(seen): move for seen, move in witness.values()})
+    table = from_moves({frozenset(seen): move for seen, move in witness.values()})
     verdict = check_table(table, cfg)
     assert verdict.outcome.kind == OutcomeKind.COLLISION
     assert verdict.outcome.collision.kind == engine.CollisionKind.SAME_TARGET
@@ -256,7 +255,7 @@ def test_fig5_diagonals():
 
 
 def test_check_all_stay_on_diagonal_is_livelock_1():
-    verdict = check_table(RuleTable.all_stay(), BUILTIN_CONFIGS["fig5a-diagonal"].robots)
+    verdict = check_table(ALL_STAY, BUILTIN_CONFIGS["fig5a-diagonal"].robots)
     assert verdict.outcome.kind == OutcomeKind.LIVELOCK
     assert verdict.outcome.cycle_length == 1
 
@@ -276,7 +275,7 @@ def test_check_proof_seed_collides_on_prop1a():
     ],
 )
 def test_check_prohibited_companions_collide(name, moves):
-    verdict = check_table(RuleTable.from_moves(moves), BUILTIN_CONFIGS[name].robots)
+    verdict = check_table(from_moves(moves), BUILTIN_CONFIGS[name].robots)
     assert verdict.outcome.kind == OutcomeKind.COLLISION
     assert verdict.outcome.collision.kind == engine.CollisionKind.SAME_TARGET
 
@@ -292,7 +291,7 @@ def test_check_seed_move_alone_on_diagonal():
 
 def test_check_table_rejects_disconnected():
     with pytest.raises(ValueError, match="connected"):
-        check_table(RuleTable.all_stay(), frozenset({(0, 0), (2, 0)}))
+        check_table(ALL_STAY, frozenset({(0, 0), (2, 0)}))
 
 
 @pytest.mark.parametrize(
