@@ -209,8 +209,8 @@ def _cmd_dump_guards(ns: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _step_budget(text: str) -> int:
-    """The ``--max-steps`` value: ASCII decimal digits, at least 1."""
+def _positive_int(text: str) -> int:
+    """A ``--n`` or ``--max-steps`` value: ASCII decimal digits, at least 1."""
     if not (text.isascii() and text.isdigit()) or int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
     return int(text)
@@ -226,14 +226,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="count/emit connected configurations up to translation")
     sizes = range(1, configs.MAX_ENUMERATION_SIZE + 1)
-    p.add_argument("--n", type=int, choices=sizes, required=True, help="number of robots (1..8)")
+    p.add_argument("--n", type=_positive_int, choices=sizes, required=True,
+                   help="number of robots (1..8)")
     p.add_argument("--out", help="write all canonical configurations, one JSON object per line")
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("verify", help="run an algorithm over every connected configuration")
-    p.add_argument("--n", type=int, choices=sizes, default=7)
+    p.add_argument("--n", type=_positive_int, choices=sizes, default=7)
     p.add_argument("--algorithm", choices=sorted(ALGORITHMS), default=gather2.ALGORITHM_ID)
-    p.add_argument("--max-steps", type=_step_budget, default=engine.DEFAULT_MAX_STEPS)
+    p.add_argument("--max-steps", type=_positive_int, default=engine.DEFAULT_MAX_STEPS)
     p.add_argument("--jobs", type=int, help="accepted for compatibility; has no effect")
     p.add_argument("--out-dir", default=DEFAULT_OUT_DIR)
     p.add_argument("--format", choices=("human", "csv", "json"), default="human")
@@ -242,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="trace one configuration file")
     p.add_argument("--config", required=True, help="configuration JSON file")
     p.add_argument("--algorithm", choices=sorted(ALGORITHMS), default=gather2.ALGORITHM_ID)
-    p.add_argument("--max-steps", type=_step_budget, default=engine.DEFAULT_MAX_STEPS)
+    p.add_argument("--max-steps", type=_positive_int, default=engine.DEFAULT_MAX_STEPS)
     p.add_argument("--render", choices=("none", "ascii", "svg"), default="none")
     p.add_argument("--out-dir", default=DEFAULT_OUT_DIR)
     p.set_defaults(func=_cmd_run)
@@ -250,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("range1", help="check a visibility-range-1 rule table on a configuration")
     p.add_argument("--table", required=True, help="rule-table text file")
     p.add_argument("--config", required=True, help="built-in configuration name or JSON file")
-    p.add_argument("--max-steps", type=_step_budget, default=engine.DEFAULT_MAX_STEPS)
+    p.add_argument("--max-steps", type=_positive_int, default=engine.DEFAULT_MAX_STEPS)
     p.add_argument("--out-dir", default=DEFAULT_OUT_DIR)
     p.set_defaults(func=_cmd_range1)
 

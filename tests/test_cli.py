@@ -55,9 +55,11 @@ def test_enumerate_count_line(capsys):
     assert capsys.readouterr().out == "n=2 count=3\n"
 
 
-def test_enumerate_out_of_range_exits_2(capsys):
-    assert main(["enumerate", "--n", "0"]) == EXIT_USAGE
-    assert main(["enumerate", "--n", "9"]) == EXIT_USAGE
+def test_enumerate_out_of_range_exits_2(tmp_path, capsys):
+    # --n takes ASCII digits only, as --max-steps does: no Arabic-Indic ٣ or ٢
+    for value in ("0", "9", "٣", "٢", " 3 ", "0_3"):
+        assert main(["enumerate", "--n", value]) == EXIT_USAGE
+        assert main(["verify", "--n", value, "--out-dir", str(tmp_path)]) == EXIT_USAGE
 
 
 def test_enumerate_writes_configs(tmp_path, capsys):
@@ -435,7 +437,7 @@ def per_start_sweep(n, algorithm, max_steps):
     for idx, cfg in enumerate(enumerate_connected(n)):
         trace = engine.run(cfg, decide, visibility, max_steps)
         result = ConfigResult(idx, trace.outcome, len(trace.steps))
-        assert result.min_connected == trace.min_connected
+        assert result.min_connected == all(s.connected for s in trace.steps)
         results.append(result)
         if trace.outcome.kind != engine.OutcomeKind.GATHERED:
             failure_traces.append((idx, engine.trace_to_lines(trace, algorithm)))
@@ -544,7 +546,7 @@ _tables = _valid_or(
 _outputs = _mostly(["out", "a/b"], ["blocker", "blocker/x", "missing/out", "."])
 _steps = _mostly(["1", "3", "40"], ["0", "-2", "+5", "x"])
 _algorithms = _mostly(sorted(ALGORITHMS), ["nope"])
-_sizes = _mostly(["1", "3", "5"], ["0", "9", "x"])
+_sizes = _mostly(["1", "3", "5"], ["0", "9", "x", "٣"])
 
 
 def _flag(name, values, required=False):

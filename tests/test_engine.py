@@ -171,15 +171,15 @@ def test_run_se_line_gathers_in_17_steps():
     tr = run(SE_LINE, decide_move, 2)
     assert tr.outcome.kind == OutcomeKind.GATHERED
     assert len(tr.steps) == 17
-    assert tr.min_connected
+    assert all(s.connected for s in tr.steps)
 
 
 def test_gathered_outcome_implies_quiescent_gathered_final():
     from trigather.config import is_gathered
 
-    tr = run(SE_LINE, decide_move, 2)
-    assert is_gathered(tr.final)
-    assert settle(tr.final, compute_decisions(tr.final, decide_move, 2)) == Outcome(
+    final = run(SE_LINE, decide_move, 2).steps[-1].robots
+    assert is_gathered(final)
+    assert settle(final, compute_decisions(final, decide_move, 2)) == Outcome(
         OutcomeKind.GATHERED
     )
 
@@ -231,20 +231,20 @@ def test_run_disconnection_is_terminal():
     tr = run(frozenset({(0, 0), (1, 0)}), leave, 1)
     assert tr.outcome.kind == OutcomeKind.DISCONNECTED
     assert not tr.steps[-1].connected
-    assert not tr.min_connected
 
 
 def test_livelock_cycle_resimulates():
     # all stay: one more cycle of the final configuration is the same livelock
     tr = run(SE_LINE, stay, 1)
-    assert settle(tr.final, compute_decisions(tr.final, stay, 1)) == tr.outcome
+    assert tr.steps == ()  # the start is the final configuration
+    assert settle(tr.initial, compute_decisions(tr.initial, stay, 1)) == tr.outcome
     # the pair drifts northeast: cycle_length more cycles repeat its shape
     shift = table({frozenset({E}): NE, frozenset({W}): NE})
     tr = run(frozenset({(0, 0), (1, 0)}), shift, 1)
-    state = tr.final
+    final = state = tr.steps[-1].robots
     for _ in range(tr.outcome.cycle_length):
         state = settle(state, compute_decisions(state, shift, 1))
-    assert canonicalize(state) == canonicalize(tr.final) and state != tr.final
+    assert canonicalize(state) == canonicalize(final) and state != final
 
 
 # Exact trace bytes: key order, separators and field names are the format.
