@@ -144,11 +144,11 @@ def _remove_earlier(directory: Path, prefix: str, suffix: str) -> None:
 
 
 def _cmd_enumerate(ns: argparse.Namespace) -> int:
-    if ns.out:
+    if ns.out is not None:
         _write(Path(ns.out), "")  # claim --out before enumerating
     shapes = configs.enumerate_connected(ns.n)
     _print(f"n={ns.n} count={len(shapes)}")
-    if ns.out:
+    if ns.out is not None:
         _write(Path(ns.out), "".join(configs.config_to_json(c) + "\n" for c in shapes))
     return EXIT_OK
 

@@ -1,5 +1,7 @@
 """Acceptance suite: one test per criterion, exact tolerances, pass/fail lines.
 
+Each criterion is the only test of its behaviour; the other test files check
+formats, the command-line contract and fast paths against their references.
 Run with ``pytest tests/test_acceptance.py -v`` (add ``-s`` to see the
 one-line PASS summaries as they complete).
 """
@@ -11,7 +13,7 @@ import time
 import pytest
 
 from oracles import FIXED_POLYHEXES, check_fixed_polyhexes
-from rule_tables import ALL_STAY, from_moves
+from rule_tables import ALL_STAY, E, NE, NW, SE, SW, W, from_moves, table
 from trigather import engine
 from trigather.cli import main, summary_csv_rows
 from trigather.config import (
@@ -28,7 +30,7 @@ from trigather.engine import (
     settle,
 )
 from trigather.gather2 import decide_move, dump_guards
-from trigather.grid import DIRECTIONS, Direction, neighbor
+from trigather.grid import DIRECTIONS, neighbor
 from trigather.range1 import (
     BUILTIN_CONFIGS,
     RuleTable,
@@ -129,16 +131,11 @@ def test_criterion_6_determinism_and_equivariance():
         for a, b in zip(first.steps, moved.steps):
             assert translate(a.robots, offset) == b.robots
             assert a.decisions == b.decisions
+            assert a.connected == b.connected
     report(6, "100 sampled runs identical on re-run and under random translation")
 
 
 def test_criterion_7_collision_semantics():
-    def table(moves):
-        return table_to_decision(from_moves(moves))
-
-    E, W, NE, NW, SW, SE = (
-        Direction.E, Direction.W, Direction.NE, Direction.NW, Direction.SW, Direction.SE,
-    )
     pair = frozenset({(0, 0), (1, 0)})
 
     decide = table({frozenset({E}): E, frozenset({W}): W})
@@ -168,29 +165,25 @@ def test_criterion_8_range1_replay():
     assert all_stay.outcome.kind == OutcomeKind.LIVELOCK
     assert all_stay.outcome.cycle_length == 1
 
-    seed = from_moves(
-        {frozenset({Direction.SE}): Direction.SW, frozenset({Direction.NE}): Direction.NW}
-    )
+    seed = from_moves({frozenset({SE}): SW, frozenset({NE}): NW})
     prop1a = check_table(seed, BUILTIN_CONFIGS["prop1a-geometry"].robots)
     assert prop1a.outcome.kind == OutcomeKind.COLLISION
     assert prop1a.outcome.collision.kind == CollisionKind.SAME_TARGET
 
     rng = random.Random(0x51AC)
-    opposite_views = (
-        frozenset({Direction.E, Direction.W}),
-        frozenset({Direction.NE, Direction.SW}),
-        frozenset({Direction.NW, Direction.SE}),
-    )
+    opposite_views = (frozenset({E, W}), frozenset({NE, SW}), frozenset({NW, SE}))
     exercised = 0
     for _ in range(1000):
         cells = [(0, 0)]
-        while len(cells) < rng.randint(2, 7):
+        size = rng.randint(2, 7)
+        while len(cells) < size:
             nb = rng.choice(list(neighbor(rng.choice(cells), d) for d in DIRECTIONS))
             if nb not in cells:
                 cells.append(nb)
         cfg = frozenset(cells)
-        table = RuleTable(tuple(rng.choice(constrained_actions(m)) for m in range(64)))
-        decide = table_to_decision(table)
+        decide = table_to_decision(
+            RuleTable(tuple(rng.choice(constrained_actions(m)) for m in range(64)))
+        )
         for robot in cfg:
             dirs = frozenset(d for d in DIRECTIONS if neighbor(robot, d) in cfg)
             if dirs in opposite_views:

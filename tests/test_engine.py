@@ -2,11 +2,10 @@
 
 import pytest
 
-from rule_tables import from_moves, mask_of, stay
+from rule_tables import E, NE, NW, SE, SW, W, mask_of, stay, table
 from trigather import engine
 from trigather.config import canonicalize, enumerate_connected, gathered_hexagon, translate
 from trigather.engine import (
-    CollisionKind,
     Outcome,
     OutcomeKind,
     View,
@@ -18,17 +17,9 @@ from trigather.engine import (
 )
 from trigather.gather2 import decide_move
 from trigather.grid import Direction, distance, label_of, neighbor
-from trigather.range1 import BUILTIN_CONFIGS, table_to_decision
-
-E, NE, NW, W, SW, SE = (
-    Direction.E, Direction.NE, Direction.NW, Direction.W, Direction.SW, Direction.SE,
-)
+from trigather.range1 import BUILTIN_CONFIGS
 
 SE_LINE = frozenset((k, -k) for k in range(7))
-
-
-def table(moves):
-    return table_to_decision(from_moves(moves))
 
 
 def test_view_validation():
@@ -49,11 +40,6 @@ def test_view_built_from_a_set_is_frozen_and_decides_alike():
     assert type(loose.occupied) is frozenset
     assert loose == exact and hash(loose) == hash(exact) and loose.mask == exact.mask
     assert decide_move(loose) is decide_move(exact)
-
-
-def test_observe_single_neighbor():
-    v = observe(frozenset({(0, 0), (1, 0)}), (0, 0), 1)
-    assert v.occupied == {(2, 0)}
 
 
 def test_observe_requires_membership():
@@ -104,68 +90,6 @@ def test_view_of_returns_the_view_observe_interns():
         engine.view_of(0, 3)
 
 
-def test_observe_gathered_center():
-    hexa = gathered_hexagon()
-    v = observe(hexa, (0, 0), 2)
-    assert v.occupied == {(2, 0), (1, 1), (-1, 1), (-2, 0), (-1, -1), (1, -1)}
-
-
-def test_observe_two_ring_layout():
-    cfg = frozenset({(0, 0), (1, 0), (0, -1), (0, 1), (2, 0), (1, 1)})
-    near = observe(cfg, (0, 0), 1)
-    assert near.occupied == {(2, 0), (-1, -1), (1, 1)}
-    far = observe(cfg, (0, 0), 2)
-    assert far.occupied == {(2, 0), (-1, -1), (1, 1), (4, 0), (3, 1)}
-
-
-def test_step_swap_collision():
-    cfg = frozenset({(0, 0), (1, 0)})
-    out = settle(cfg, compute_decisions(cfg, table({frozenset({E}): E, frozenset({W}): W}), 1))
-    assert out.kind == OutcomeKind.COLLISION
-    assert out.collision.kind == CollisionKind.SWAP
-    assert out.collision.participants == (((0, 0), E), ((1, 0), W))
-
-
-def test_step_move_onto_stationary():
-    cfg = frozenset({(0, 0), (1, 0)})
-    out = settle(cfg, compute_decisions(cfg, table({frozenset({E}): E}), 1))
-    assert out.kind == OutcomeKind.COLLISION
-    assert out.collision.kind == CollisionKind.MOVE_ONTO_STATIONARY
-    assert out.collision.participants == (((0, 0), E), ((1, 0), None))
-
-
-def test_step_same_target():
-    cfg = frozenset({(0, 0), (1, -1), (1, -2)})
-    out = settle(cfg, compute_decisions(cfg, table({frozenset({SE}): SW, frozenset({NE}): NW}), 1))
-    assert out.kind == OutcomeKind.COLLISION
-    assert out.collision.kind == CollisionKind.SAME_TARGET
-    assert out.collision.participants == (((0, 0), SW), ((1, -2), NW))
-
-
-def test_step_vacate_and_enter_is_legal():
-    cfg = frozenset({(0, 0), (1, 0)})
-    out = settle(cfg, compute_decisions(cfg, table({frozenset({E}): E, frozenset({W}): E}), 1))
-    assert out == frozenset({(1, 0), (2, 0)})
-
-
-def test_step_all_stay_line_is_livelock_1():
-    out = settle(SE_LINE, compute_decisions(SE_LINE, stay, 1))
-    assert out == Outcome(OutcomeKind.LIVELOCK, cycle_length=1)
-
-
-def test_run_gathered_hexagon_zero_steps():
-    tr = run(gathered_hexagon(), decide_move, 2)
-    assert tr.outcome.kind == OutcomeKind.GATHERED
-    assert tr.steps == ()
-
-
-def test_run_all_stay_line_is_livelock_1():
-    tr = run(SE_LINE, stay, 1)
-    assert tr.outcome.kind == OutcomeKind.LIVELOCK
-    assert tr.outcome.cycle_length == 1
-    assert tr.steps == ()
-
-
 def test_run_se_line_gathers_in_17_steps():
     # regression value frozen from the first verified run
     tr = run(SE_LINE, decide_move, 2)
@@ -205,32 +129,6 @@ def test_run_detects_translation_livelock():
     assert tr.outcome.kind == OutcomeKind.LIVELOCK
     assert tr.outcome.cycle_length == 1
     assert len(tr.steps) == 1
-
-
-def test_run_determinism():
-    a = run(SE_LINE, decide_move, 2)
-    b = run(SE_LINE, decide_move, 2)
-    assert a == b
-
-
-def test_run_translation_equivariance():
-    offset = (11, -4)
-    a = run(SE_LINE, decide_move, 2)
-    b = run(translate(SE_LINE, offset), decide_move, 2)
-    assert a.outcome == b.outcome
-    assert len(a.steps) == len(b.steps)
-    for sa, sb in zip(a.steps, b.steps):
-        assert translate(sa.robots, offset) == sb.robots
-        assert sa.decisions == sb.decisions
-        assert sa.connected == sb.connected
-
-
-def test_run_disconnection_is_terminal():
-    # lone mover walks away from its partner: disconnected after one step
-    leave = table({frozenset({W}): E})
-    tr = run(frozenset({(0, 0), (1, 0)}), leave, 1)
-    assert tr.outcome.kind == OutcomeKind.DISCONNECTED
-    assert not tr.steps[-1].connected
 
 
 def test_livelock_cycle_resimulates():
