@@ -1,7 +1,9 @@
 """Acceptance suite: one test per criterion, exact tolerances, pass/fail lines.
 
-Each criterion is the only test of its behaviour; the other test files check
-formats, the command-line contract and fast paths against their references.
+Each criterion is the only test of its behaviour, apart from criteria 2 and 4,
+which unit tests in test_config.py and test_gather2.py repeat; the other test
+files check formats, the command-line contract and fast paths against their
+references.
 Run with ``pytest tests/test_acceptance.py -v`` (add ``-s`` to see the
 one-line PASS summaries as they complete).
 """

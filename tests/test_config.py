@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from oracles import union_find_connected
+from oracles import check_fixed_polyhexes, union_find_connected
 from trigather.config import (
     KEY_STRIDE,
     MAX_ENUMERATION_SIZE,
@@ -96,6 +96,11 @@ def test_enumerate_rejects_bad_n():
         enumerate_connected(0)
     with pytest.raises(ValueError):
         enumerate_connected(9)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_enumerate_is_every_fixed_polyhex_once_in_order(n):
+    check_fixed_polyhexes(n, enumerate_connected(n))
 
 
 def test_keys_pack_nodes_in_order_within_the_enumeration_bound():

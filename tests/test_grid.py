@@ -51,6 +51,13 @@ def test_six_neighbors_distinct_and_adjacent():
         assert ring == tuple(neighbor(c, d) for d in DIRECTIONS)
 
 
+def test_distance_basics():
+    assert distance((0, 0), (0, 0)) == 0
+    assert distance((0, 0), (1, 0)) == 1
+    assert distance((0, 0), (1, 1)) == 2
+    assert distance((0, 0), (1, 1)) == bfs_distance((0, 0), (1, 1))
+
+
 def test_distance_matches_bfs_in_window():
     for da in range(-4, 5):
         for db in range(-4, 5):

@@ -3,7 +3,7 @@
 from trigather.config import gathered_hexagon
 from trigather.engine import run
 from trigather.gather2 import decide_move
-from trigather.render import ascii_diagram, ascii_trace, svg_diagram
+from trigather.render import ascii_diagram, ascii_trace, svg_diagram, svg_trace
 
 SE_LINE = frozenset((k, -k) for k in range(7))
 
@@ -47,3 +47,11 @@ def test_svg_structure():
     assert doc.count("<circle") == 5 * 5  # bounding box of nodes incl. margin
     assert doc.count('fill="black"') == 7
     assert doc.rstrip().endswith("</svg>")
+
+
+def test_rendering_is_deterministic():
+    tr1 = run(SE_LINE, decide_move, 2)
+    tr2 = run(SE_LINE, decide_move, 2)
+    assert ascii_trace(tr1) == ascii_trace(tr2)
+    assert svg_trace(tr1) == svg_trace(tr2)
+    assert len(svg_trace(tr1)) == len(tr1.steps) + 1

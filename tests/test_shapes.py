@@ -17,6 +17,14 @@ def graphs():
 
 
 @pytest.mark.parametrize("n", range(1, 8))
+def test_shapes_unpack_to_the_enumeration(graphs, n):
+    graph = graphs[n]
+    shapes = enumerate_connected(n)
+    assert [graph.shape(idx) for idx in range(len(graph))] == shapes
+    assert all(graph.index[keys] == idx for idx, keys in enumerate(graph.keys))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
 def test_masks_equal_observe_at_both_ranges(graphs, n):
     graph = graphs[n]
     for idx in range(len(graph)):
