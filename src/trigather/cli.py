@@ -210,7 +210,7 @@ def _cmd_dump_guards(ns: argparse.Namespace) -> int:
 
 
 def _positive_int(text: str) -> int:
-    """A ``--n`` or ``--max-steps`` value: ASCII decimal digits, at least 1."""
+    """A ``--n``, ``--max-steps`` or ``--jobs`` value: ASCII decimal digits, at least 1."""
     if not (text.isascii() and text.isdigit()) or int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
     return int(text)
@@ -235,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_positive_int, choices=sizes, default=7)
     p.add_argument("--algorithm", choices=sorted(ALGORITHMS), default=gather2.ALGORITHM_ID)
     p.add_argument("--max-steps", type=_positive_int, default=engine.DEFAULT_MAX_STEPS)
-    p.add_argument("--jobs", type=int, help="accepted for compatibility; has no effect")
+    p.add_argument("--jobs", type=_positive_int, help="accepted for compatibility; has no effect")
     p.add_argument("--out-dir", default=DEFAULT_OUT_DIR)
     p.add_argument("--format", choices=("human", "csv", "json"), default="human")
     p.set_defaults(func=_cmd_verify)

@@ -74,7 +74,10 @@ class MoveRule:
     clauses: tuple[GuardClause, ...]
 
     def holds(self, occupied: frozenset) -> bool:
-        return any(c.holds(occupied) for c in self.clauses)
+        for clause in self.clauses:
+            if clause.holds(occupied):
+                return True
+        return False
 
 
 @dataclass(frozen=True, slots=True)
@@ -93,7 +96,10 @@ class Branch:
             return True
         if base is None and self.match_no_base:
             return True
-        return any(c.holds(occupied) for c in self.when)
+        for clause in self.when:
+            if clause.holds(occupied):
+                return True
+        return False
 
 
 def _clause(robots: Iterable[Label] = (), empties: Iterable[Label] = ()) -> GuardClause:
@@ -434,7 +440,7 @@ def matching_rules(occupied: frozenset) -> tuple[Branch, tuple[MoveRule, ...]]:
     base = _plain_base(occupied)
     for branch in GUARD_TABLE:
         if branch.selects(base, occupied):
-            return branch, tuple(rule for rule in branch.rules if rule.holds(occupied))
+            return branch, tuple([rule for rule in branch.rules if rule.holds(occupied)])
     raise AssertionError("dispatch chain is total; no branch selected")
 
 

@@ -13,12 +13,21 @@ from . import config as configs
 from . import engine
 from .grid import DIRECTIONS
 
-# One {key offset: view mask bit} dict per visibility range; the bits are
-# engine.observe's, so a mask here is the mask of the View it observes.
-_OFFSET_BITS: dict[int, dict[int, int]] = {
-    v: {configs.key_of((da, db)): bit for da, db, bit in probes}
-    for v, probes in engine.PROBES.items()
-}
+# Key offsets between two nodes of an enumerated shape lie in [-_REACH, _REACH].
+_REACH = configs.MAX_ENUMERATION_SIZE * configs.KEY_STRIDE
+
+
+def _bit_table(probes: tuple) -> list[int]:
+    """The view mask bit of each key offset d, at index d + _REACH."""
+    table = [0] * (2 * _REACH + 1)
+    for da, db, bit in probes:
+        table[configs.key_of((da, db)) + _REACH] = bit
+    return table
+
+
+# One table per visibility range.  The bits are engine.observe's, so a mask
+# here is the mask of the View it observes.
+_OFFSET_BITS: dict[int, list[int]] = {v: _bit_table(p) for v, p in engine.PROBES.items()}
 # The key offset of each move.
 _DELTA: dict[engine.Move, int] = {None: 0} | dict(zip(DIRECTIONS, configs.NEIGHBOR_DELTAS))
 
@@ -44,9 +53,16 @@ class ShapeGraph:
 
     def masks(self, idx: int, visibility: int) -> list[int]:
         """Each robot's view mask, read off the key offsets within the shape."""
-        bit = _OFFSET_BITS[visibility].get
+        bits = _OFFSET_BITS[visibility]
         keys = self.keys[idx]
-        return [sum([bit(other - key, 0) for other in keys]) for key in keys]
+        masks = []
+        for key in keys:
+            at = _REACH - key
+            mask = 0
+            for other in keys:
+                mask |= bits[at + other]
+            masks.append(mask)
+        return masks
 
     def step(self, idx: int, moves: tuple[engine.Move, ...]) -> Edge:
         """Move every robot of shape ``idx`` at once; ``moves`` is in robot order.

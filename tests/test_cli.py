@@ -166,16 +166,16 @@ def printed_json(capsys):
 
 
 def test_verify_json_format(tmp_path, capsys):
-    code = main(["verify", "--n", "7", "--format", "json", "--out-dir", str(tmp_path / "v")])
+    code = main(["verify", "--n", "2", "--format", "json", "--out-dir", str(tmp_path / "v")])
     assert code == EXIT_OK
     assert printed_json(capsys) == {
         "algorithm": "gather2-v1",
-        "n": 7,
-        "total": 3652,
-        "gathered": 3652,
-        "failures": [],
-        "max_steps_observed": 19,
-        "outcomes": {"gathered": 3652},
+        "n": 2,
+        "total": 3,
+        "gathered": 0,
+        "failures": [0, 1, 2],
+        "max_steps_observed": 0,
+        "outcomes": {"livelock:1": 3},
     }
 
 
@@ -249,10 +249,13 @@ def test_closed_stdout_keeps_the_exit_code_and_prints_no_traceback(tmp_path, unb
     env["PYTHONPATH"] = SRC
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
+    # only an n=7 sweep can fail: smaller sizes are informational and exit 0
     cases = [
-        (["verify", "--n", "7", "--algorithm", algorithm, "--out-dir", str(tmp_path / algorithm)],
+        (["verify", "--n", n, "--algorithm", algorithm, "--out-dir", str(tmp_path / algorithm)],
          expected)
-        for algorithm, expected in (("gather2-v1", EXIT_OK), ("gather2-verbatim", EXIT_FAILURE))
+        for n, algorithm, expected in (
+            ("2", "gather2-v1", EXIT_OK), ("7", "gather2-verbatim", EXIT_FAILURE)
+        )
     ]
     for argv, expected in cases + [(["--help"], EXIT_OK)]:
         read_end, write_end = os.pipe()
@@ -287,9 +290,12 @@ def test_reused_verify_out_dir_holds_only_the_latest_traces(tmp_path, capsys):
     }
     for name in ("notes.txt", "config-x.trace"):  # not the tool's names: kept
         (failures / name).write_text("kept\n")
-    assert main(["verify", "--out-dir", str(out)]) == EXIT_OK
-    assert "gathered=3652 failures=0" in capsys.readouterr().out
-    assert sorted(p.name for p in failures.iterdir()) == ["config-x.trace", "notes.txt"]
+    assert main(["verify", "--n", "3", "--out-dir", str(out)]) == EXIT_OK
+    assert "total=11 gathered=0 failures=11" in capsys.readouterr().out
+    latest = sorted(f"config-{cid}.trace" for cid in range(11))
+    assert sorted(p.name for p in failures.iterdir()) == sorted(
+        latest + ["config-x.trace", "notes.txt"]
+    )
 
 
 def test_reused_run_out_dir_holds_only_the_latest_frames(line_file, tmp_path, capsys):
@@ -318,6 +324,24 @@ def test_cli_calls_the_verify_module():
     # the benchmark tracer wraps cli.verify_sweep and rebinds cli.ALGORITHMS entries
     assert cli.verify_sweep is verify.verify_sweep
     assert cli.ALGORITHMS is verify.ALGORITHMS
+
+
+# the benchmark passes --jobs 1 and --jobs <cores>
+@pytest.mark.parametrize(
+    "value, expected",
+    [("1", EXIT_OK), (str(len(os.sched_getaffinity(0))), EXIT_OK)]
+    + [(value, EXIT_USAGE) for value in ("0", "-5", "٣", "²", " 1", "x")],
+)
+def test_verify_jobs_takes_ascii_digits_of_at_least_1(value, expected, tmp_path, capsys):
+    argv = ["verify", "--n", "2", "--jobs", value, "--out-dir", str(tmp_path)]
+    assert main(argv) == expected
+    captured = capsys.readouterr()
+    if expected == EXIT_OK:
+        assert "total=3" in captured.out
+    else:
+        assert "error: argument --jobs: must be an integer of at least 1" in captured.err
+        assert "Traceback" not in captured.err
+        assert not (tmp_path / "summary.csv").exists()
 
 
 @pytest.mark.parametrize("value", ["0", "-3", "²"])

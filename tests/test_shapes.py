@@ -5,15 +5,15 @@ import random
 import pytest
 
 from trigather import engine
-from trigather.config import canonicalize, enumerate_connected
+from trigather.config import MAX_ENUMERATION_SIZE, canonicalize, enumerate_connected
 from trigather.engine import CollisionKind, observe
 from trigather.grid import DIRECTIONS
-from trigather.shapes import ShapeGraph
+from trigather.shapes import _REACH, ShapeGraph
 
 
 @pytest.fixture(scope="module")
 def graphs():
-    return {n: ShapeGraph(n) for n in range(1, 8)}
+    return {n: ShapeGraph(n) for n in range(1, MAX_ENUMERATION_SIZE + 1)}
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -24,14 +24,26 @@ def test_shapes_unpack_to_the_enumeration(graphs, n):
     assert all(graph.index[keys] == idx for idx, keys in enumerate(graph.keys))
 
 
-@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("n", range(1, MAX_ENUMERATION_SIZE + 1))
 def test_masks_equal_observe_at_both_ranges(graphs, n):
     graph = graphs[n]
-    for idx in range(len(graph)):
+    # every 5th of the 16689 8-robot shapes, to keep the test short
+    for idx in range(0, len(graph), 5 if n == MAX_ENUMERATION_SIZE else 1):
         cfg = graph.shape(idx)
         for visibility in (1, 2):
             expected = [observe(cfg, robot, visibility).mask for robot in sorted(cfg)]
             assert graph.masks(idx, visibility) == expected
+
+
+def test_key_offsets_within_the_largest_shapes_index_the_mask_table(graphs):
+    # a negative index would wrap round the table silently
+    offsets = {
+        other - key
+        for keys in graphs[MAX_ENUMERATION_SIZE].keys
+        for key in keys
+        for other in keys
+    }
+    assert -_REACH <= min(offsets) and max(offsets) <= _REACH
 
 
 @pytest.mark.parametrize("n", range(1, 7))
