@@ -3,10 +3,10 @@
 Every cycle, each robot observes the occupancy of the nodes within its
 visibility range (a :class:`View`, in label space), a pure decision
 function maps the view to a move or a stay, and all moves are applied
-simultaneously.  Views are interned by occupancy: equal observations
-return one shared :class:`View`, which is immutable.  A view carries its
-occupancy as a bit ``mask``; bits 0..5 are the neighbors E, NE, NW, W, SW,
-SE at either range, which is the index of a range-1 rule table.
+simultaneously.  A view is its range and its occupancy bit ``mask``; bits
+0..5 are the neighbors E, NE, NW, W, SW, SE at either range, which is the
+index of a range-1 rule table.  Views are interned by mask: equal
+observations return one shared :class:`View`, which is immutable.
 
 Three simultaneous-move events are collisions and terminate the run with
 a report instead of a successor state:
@@ -28,7 +28,7 @@ returns the outcome ``gathered``, not the hexagon.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from .config import Configuration, canonicalize, is_connected, is_gathered
@@ -70,29 +70,34 @@ def _bits_of(visibility: int) -> dict[Label, int]:
 DEFAULT_MAX_STEPS = 500
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class View:
     """Occupancy of the labels within a robot's visibility range.
 
-    ``occupied`` holds exactly the labels (never (0, 0), the robot itself)
-    that carry a robot.  Robots are transparent: occupancy of a label is
-    independent of other labels on the same axis.  ``mask`` is derived
-    from ``occupied``: bit i is set when label i of
-    ``RANGE1_LABELS + RANGE2_LABELS`` is occupied.
+    A view is its range and its bit ``mask``: bit i is set when label i of
+    ``RANGE1_LABELS + RANGE2_LABELS`` carries a robot.  Robots are
+    transparent: occupancy of a label is independent of other labels on
+    the same axis.  ``View(visibility, occupied)`` takes the occupied
+    labels (never (0, 0), the robot itself); equality and hashing read
+    the range and the mask alone.
     """
 
     visibility: int
-    occupied: frozenset
-    mask: int = field(init=False, repr=False, compare=False)
+    mask: int
 
-    def __post_init__(self) -> None:
-        bits = _bits_of(self.visibility)
-        occupied = frozenset(self.occupied)
+    def __init__(self, visibility: int, occupied) -> None:
+        bits = _bits_of(visibility)
+        occupied = frozenset(occupied)
         bad = occupied.difference(bits)
         if bad:
-            raise ValueError(f"labels {sorted(bad)} are outside visibility range {self.visibility}")
-        object.__setattr__(self, "occupied", occupied)
+            raise ValueError(f"labels {sorted(bad)} are outside visibility range {visibility}")
+        object.__setattr__(self, "visibility", visibility)
         object.__setattr__(self, "mask", sum(map(bits.__getitem__, occupied)))
+
+    @property
+    def occupied(self) -> frozenset:
+        """The occupied labels, read off ``mask``."""
+        return frozenset([lbl for lbl, bit in _BITS[self.visibility].items() if self.mask & bit])
 
 
 DecisionFunction = Callable[[View], Move]
@@ -182,8 +187,10 @@ def view_of(mask: int, visibility: int) -> View:
     if view is None:
         if not 0 <= mask < 1 << len(bits):
             raise ValueError(f"mask {mask:#x} is outside visibility range {visibility}")
-        occupied = frozenset([lbl for lbl, bit in bits.items() if mask & bit])
-        view = views[mask] = View(visibility, occupied)
+        view = object.__new__(View)
+        object.__setattr__(view, "visibility", visibility)
+        object.__setattr__(view, "mask", mask)
+        views[mask] = view
     return view
 
 

@@ -40,6 +40,12 @@ ordered: the first branch whose condition holds is entered, the first
 rule inside it whose guard holds fires, and anything else means stay;
 quiescence is the default, which is what makes a gathered configuration
 a fixed point.
+
+The functions evaluate a bitmask form of the three layers that is derived
+at import from their label sets alone: a robots mask and an empties mask
+per clause, tested against a view's ``mask``.
+``tests/test_gather2.py::test_decisions_match_the_chain_oracle`` checks
+both decision functions equal to a label-level reading of the tables.
 """
 
 from __future__ import annotations
@@ -61,9 +67,6 @@ class GuardClause:
     robots: frozenset
     empties: frozenset
 
-    def holds(self, occupied: frozenset) -> bool:
-        return self.robots <= occupied and self.empties.isdisjoint(occupied)
-
 
 @dataclass(frozen=True, slots=True)
 class MoveRule:
@@ -72,12 +75,6 @@ class MoveRule:
     line: int
     move: Direction
     clauses: tuple[GuardClause, ...]
-
-    def holds(self, occupied: frozenset) -> bool:
-        for clause in self.clauses:
-            if clause.holds(occupied):
-                return True
-        return False
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,16 +87,6 @@ class Branch:
     when: tuple[GuardClause, ...]
     rules: tuple[MoveRule, ...]
     match_no_base: bool = False
-
-    def selects(self, base: Label | None, occupied: frozenset) -> bool:
-        if base is not None and base in self.bases:
-            return True
-        if base is None and self.match_no_base:
-            return True
-        for clause in self.when:
-            if clause.holds(occupied):
-                return True
-        return False
 
 
 def _clause(robots: Iterable[Label] = (), empties: Iterable[Label] = ()) -> GuardClause:
@@ -299,81 +286,6 @@ NORMALIZATION_NOTES: tuple[str, ...] = (
 )
 
 
-def _plain_base(occupied: frozenset) -> Label | None:
-    """The unique robot-node label of largest x-element, or None on a tie.
-
-    Self always counts as a robot node with x-element 0, so the result is
-    never a label with negative x-element.
-    """
-    best_x = 0
-    best: Label = (0, 0)
-    tied = False
-    for lbl in occupied:
-        x = lbl[0]
-        if x > best_x:
-            best_x, best, tied = x, lbl, False
-        elif x == best_x:
-            tied = True
-    return None if tied else best
-
-
-def _require_range2(view: View) -> None:
-    if view.visibility != 2:
-        raise ValueError("the gathering rule needs visibility range 2")
-
-
-def base_label(view: View) -> Label | None:
-    """The base node's label for this view, or None when undetermined."""
-    _require_range2(view)
-    occ = view.occupied
-    if _BASE_40_EXCEPTION.holds(occ):
-        return (4, 0)
-    if _BASE_20_EXCEPTION.holds(occ):
-        return (2, 0)
-    return _plain_base(occ)
-
-
-# --- layer 2: connectivity screen ---
-
-# Adjacency between the 19 labels of the closed range-2 window (self at
-# (0,0) included), used to test whether a move splits the visible group.
-# Labels are linear in the offset, so adjacent labels differ by a range-1 label.
-_WINDOW: tuple[Label, ...] = ((0, 0),) + RANGE1_LABELS + RANGE2_LABELS
-_LABEL_ADJ: dict[Label, frozenset] = {
-    a: frozenset(b for b in _WINDOW if (b[0] - a[0], b[1] - a[1]) in RANGE1_LABELS)
-    for a in _WINDOW
-}
-_MOVE_LABEL: dict[Direction, Label] = dict(zip(DIRECTIONS, RANGE1_LABELS))
-
-
-def _reach(nodes: frozenset, start: Label) -> set:
-    """The labels of ``nodes`` connected to ``start`` through window links."""
-    seen = {start}
-    stack = [start]
-    while stack:
-        fresh = (_LABEL_ADJ[stack.pop()] & nodes) - seen
-        seen |= fresh
-        stack.extend(fresh)
-    return seen
-
-
-def preserves_visible_connectivity(occupied: frozenset, move: Direction) -> bool:
-    """False when stepping in ``move`` would split the robots the mover sees.
-
-    The documented screen asks that any pair of visible robots (the mover
-    included) connected through occupied window nodes before the move
-    stay connected after it.  Links through nodes outside the window are
-    invisible to the mover, so losing a visible link counts as a
-    disconnection risk.  Only the mover's own group can split: every
-    other visible group keeps its nodes and links, and adding the target
-    can only merge groups.  So the screen asks one thing: the mover's
-    group, with the mover moved to its target, is still connected.
-    """
-    target = _MOVE_LABEL[move]
-    group = (_reach(occupied | {(0, 0)}, (0, 0)) - {(0, 0)}) | {target}
-    return _reach(group, target) == group
-
-
 # --- layer 3: completion rules for views the screened chain leaves quiescent ---
 
 # Exact views (occupied labels; all other window labels empty) mapped to
@@ -428,30 +340,198 @@ COMPLETION_RULES: tuple[tuple[frozenset, Direction], ...] = (
     (frozenset({(2, 0), (2, 2), (4, 0)}), Direction.NE),
 )
 
-_COMPLETION = dict(COMPLETION_RULES)
+
+# --- the mask form that every function below evaluates ---
+#
+# Derived at import from the label sets of GUARD_TABLE, its two base
+# exceptions and COMPLETION_RULES, and from nothing else.  A clause holds
+# on a view mask when ``mask & care == robots``, where ``care`` is its
+# robots mask or'ed with its empties mask.
+
+# Each label's bit, as ``View`` numbers them.  Self at (0, 0) takes the
+# bit above them, so the closed range-2 window of 19 nodes is one mask.
+_BIT: dict[Label, int] = {lbl: View(2, [lbl]).mask for lbl in RANGE1_LABELS + RANGE2_LABELS}
+_SELF = 1 << len(_BIT)
 
 
-def matching_rules(occupied: frozenset) -> tuple[Branch, tuple[MoveRule, ...]]:
-    """The branch the dispatch chain enters and every one of its rules whose guard holds.
+def _mask(labels: Iterable[Label]) -> int:
+    """The range-2 view mask with exactly ``labels`` occupied."""
+    return sum(map(_BIT.__getitem__, labels))
+
+
+def _clause_masks(clause: GuardClause) -> tuple[int, int]:
+    """``(care, robots)`` of one clause."""
+    robots = _mask(clause.robots)
+    return robots | _mask(clause.empties), robots
+
+
+def _holds(mask: int, clauses: tuple[tuple[int, int], ...]) -> bool:
+    for care, robots in clauses:
+        if mask & care == robots:
+            return True
+    return False
+
+
+# The labels of positive x-element as columns, by ascending x-element:
+# {bit: label} per column.
+_COLUMNS: dict[int, dict[int, Label]] = {
+    x: {bit: lbl for lbl, bit in _BIT.items() if lbl[0] == x}
+    for x in sorted({x for x, _ in _BIT if x > 0})
+}
+_POSITIVE_MASK = _mask(lbl for lbl in _BIT if lbl[0] > 0)
+_ZERO_X_MASK = _mask(lbl for lbl in _BIT if lbl[0] == 0)
+
+
+def _derive_plain_bases() -> dict[int, Label | None]:
+    """The plain base for each nonempty set of occupied labels of positive
+    x-element, keyed by its mask.
+
+    The rightmost occupied column decides: its one occupied label, or
+    None (a tie) when it holds more than one.
+    """
+    bases: dict[int, Label | None] = {}
+    left = [0]  # each set of labels left of the column, as a mask
+    for column in _COLUMNS.values():
+        subsets = [0]
+        for bit in column:
+            subsets += [subset | bit for subset in subsets]
+        for top in subsets[1:]:
+            base = column.get(top)
+            for low in left:
+                bases[top | low] = base
+        left = [top | low for top in subsets for low in left]
+    return bases
+
+
+# The plain base by the occupied labels of positive x-element.  With none
+# of them occupied, self (x-element 0) is the base unless a label of
+# x-element 0 ties it.
+_PLAIN_BASE = _derive_plain_bases()
+_BASE_EXCEPTIONS: tuple[tuple[tuple[int, int], Label], ...] = (
+    (_clause_masks(_BASE_40_EXCEPTION), (4, 0)),
+    (_clause_masks(_BASE_20_EXCEPTION), (2, 0)),
+)
+
+# The chain: each branch's rules with the masks of their clauses; the
+# first branch each plain base (None when undetermined) selects; and the
+# branch conditions on clauses, in chain order, which can only select a
+# branch before that one.
+_CHAIN: tuple[tuple[tuple[MoveRule, tuple[tuple[int, int], ...]], ...], ...] = tuple(
+    tuple((rule, tuple(map(_clause_masks, rule.clauses))) for rule in branch.rules)
+    for branch in GUARD_TABLE
+)
+_FIRST_BRANCH: dict[Label | None, int] = {
+    base: index
+    for index, branch in reversed(tuple(enumerate(GUARD_TABLE)))
+    for base in (*branch.bases, *([None] if branch.match_no_base else []))
+}
+_BRANCH_CLAUSES: tuple[tuple[int, int, int], ...] = tuple(
+    (index, *_clause_masks(clause))
+    for index, branch in enumerate(GUARD_TABLE)
+    for clause in branch.when
+)
+
+# Links between the window's nodes, as the mask of each node's window
+# neighbours.  Labels are linear in the offset, so adjacent labels differ
+# by a range-1 label.
+_WINDOW_BIT: dict[Label, int] = {(0, 0): _SELF} | _BIT
+_ADJ: dict[int, int] = {
+    bit: sum(_WINDOW_BIT.get((x + dx, y + dy), 0) for dx, dy in RANGE1_LABELS)
+    for (x, y), bit in _WINDOW_BIT.items()
+}
+_MOVE_LABEL: dict[Direction, Label] = dict(zip(DIRECTIONS, RANGE1_LABELS))
+_MOVE_BIT: dict[Direction, int] = {d: _BIT[lbl] for d, lbl in _MOVE_LABEL.items()}
+
+_COMPLETION: dict[int, Direction] = {_mask(labels): move for labels, move in COMPLETION_RULES}
+
+
+def _require_range2(view: View) -> None:
+    if view.visibility != 2:
+        raise ValueError("the gathering rule needs visibility range 2")
+
+
+def _plain_base(mask: int) -> Label | None:
+    positive = mask & _POSITIVE_MASK
+    if positive:
+        return _PLAIN_BASE[positive]
+    return None if mask & _ZERO_X_MASK else (0, 0)
+
+
+def _base(mask: int) -> Label | None:
+    for (care, robots), label in _BASE_EXCEPTIONS:
+        if mask & care == robots:
+            return label
+    return _plain_base(mask)
+
+
+def base_label(view: View) -> Label | None:
+    """The base node's label for this view, or None when undetermined."""
+    _require_range2(view)
+    return _base(view.mask)
+
+
+def _reach(nodes: int, start: int) -> int:
+    """The window bits of ``nodes`` connected to bit ``start`` through window links."""
+    seen = frontier = start
+    while frontier:
+        bit = frontier & -frontier
+        frontier ^= bit
+        fresh = _ADJ[bit] & nodes & ~seen
+        seen |= fresh
+        frontier |= fresh
+    return seen
+
+
+def preserves_visible_connectivity(mask: int, move: Direction) -> bool:
+    """False when stepping in ``move`` would split the robots the mover sees.
+
+    ``mask`` is the mover's range-2 view mask.  The documented screen asks
+    that any pair of visible robots (the mover included) connected through
+    occupied window nodes before the move stay connected after it.  Links
+    through nodes outside the window are invisible to the mover, so losing
+    a visible link counts as a disconnection risk.  Only the mover's own
+    group can split: every other visible group keeps its nodes and links,
+    and adding the target can only merge groups.  So the screen asks one
+    thing: the mover's group, with the mover moved to its target, is still
+    connected.
+    """
+    target = _MOVE_BIT[move]
+    group = _reach(mask | _SELF, _SELF) ^ _SELF | target
+    return _reach(group, target) == group
+
+
+def _entered(mask: int) -> int:
+    """The index in ``GUARD_TABLE`` of the branch the chain enters."""
+    first = _FIRST_BRANCH[_plain_base(mask)]
+    for index, care, robots in _BRANCH_CLAUSES:
+        if index >= first:
+            break
+        if mask & care == robots:
+            return index
+    return first
+
+
+def matching_rules(mask: int) -> tuple[Branch, tuple[MoveRule, ...]]:
+    """The branch the dispatch chain enters on a range-2 view mask, and
+    every one of its rules whose guard holds.
 
     The chain only ever fires the first match; this reports all matches
     so the guard-exclusivity audit can document overlaps.
     """
-    base = _plain_base(occupied)
-    for branch in GUARD_TABLE:
-        if branch.selects(base, occupied):
-            return branch, tuple([rule for rule in branch.rules if rule.holds(occupied)])
-    raise AssertionError("dispatch chain is total; no branch selected")
+    index = _entered(mask)
+    return GUARD_TABLE[index], tuple(
+        [rule for rule, clauses in _CHAIN[index] if _holds(mask, clauses)]
+    )
 
 
 def decide_move(view: View) -> Move:
     """The move (or None to stay) the gathering rule picks for a view."""
     _require_range2(view)
-    _, matched = matching_rules(view.occupied)
-    for rule in matched:
-        if preserves_visible_connectivity(view.occupied, rule.move):
+    mask = view.mask
+    for rule, clauses in _CHAIN[_entered(mask)]:
+        if _holds(mask, clauses) and preserves_visible_connectivity(mask, rule.move):
             return rule.move
-    return _COMPLETION.get(view.occupied)
+    return _COMPLETION.get(mask)
 
 
 def decide_verbatim(view: View) -> Move:
@@ -462,8 +542,11 @@ def decide_verbatim(view: View) -> Move:
     configurations.
     """
     _require_range2(view)
-    _, matched = matching_rules(view.occupied)
-    return matched[0].move if matched else None
+    mask = view.mask
+    for rule, clauses in _CHAIN[_entered(mask)]:
+        if _holds(mask, clauses):
+            return rule.move
+    return None
 
 
 # --- auditable dump of the compiled table ---

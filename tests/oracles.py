@@ -10,9 +10,13 @@ number of translation classes, the fixed polyhexes counted by OEIS
 A001168.  A one-to-one map into a finite set of that size is onto it.
 
 The connectivity-screen oracle states the range-2 screen as the
-``dump-guards`` text does, pair by pair, on grid coordinates.
+``dump-guards`` text does, pair by pair, on grid coordinates.  The chain
+oracle reads the range-2 rule's decisions off ``GUARD_TABLE`` and
+``COMPLETION_RULES`` on label sets, as the ``gather2`` docstring states
+the chain, and calls no evaluation function of ``gather2``.
 """
 
+from trigather.gather2 import COMPLETION_RULES, GUARD_TABLE
 from trigather.grid import coord_of_label, neighbor, neighbors
 
 FIXED_POLYHEXES = (1, 3, 11, 44, 186, 814, 3652, 16689)  # OEIS A001168
@@ -84,3 +88,39 @@ def screen_all_pairs(occupied, move):
     for cell in before:
         post_of_pre.setdefault(pre[cell], set()).add(post[moved[cell]])
     return all(len(comps) == 1 for comps in post_of_pre.values())
+
+
+_COMPLETION = dict(COMPLETION_RULES)
+
+
+def chain_moves(occupied):
+    """The ``gather2-v1`` and ``gather2-verbatim`` moves for a range-2 view.
+
+    ``occupied`` holds the labels of the robots the mover at (0, 0) sees.
+    The base is the unique robot-node label of largest x-element, self
+    counted at x-element 0, and undetermined (None) on a tie.  The first
+    branch whose condition holds is entered: the base is one of its bases,
+    or it is undetermined and the branch matches that, or one of its
+    clauses holds.  The verbatim chain fires the first rule of that branch
+    whose guard holds.  ``gather2-v1`` fires the first one whose move also
+    passes the connectivity screen, and otherwise the completion rule for
+    the exact view, if any.  A move of None is a stay.
+    """
+    occupied = frozenset(occupied)
+
+    def holds(clause):
+        return clause.robots <= occupied and clause.empties.isdisjoint(occupied)
+
+    robots = [(0, 0), *occupied]
+    top = max(x for x, _ in robots)
+    rightmost = [lbl for lbl in robots if lbl[0] == top]
+    base = rightmost[0] if len(rightmost) == 1 else None
+    branch = next(
+        b
+        for b in GUARD_TABLE
+        if base in b.bases or (base is None and b.match_no_base) or any(map(holds, b.when))
+    )
+    matched = [rule.move for rule in branch.rules if any(map(holds, rule.clauses))]
+    screened = [move for move in matched if screen_all_pairs(occupied, move)]
+    move = screened[0] if screened else _COMPLETION.get(occupied)
+    return move, (matched[0] if matched else None)

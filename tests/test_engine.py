@@ -1,5 +1,7 @@
 """FSYNC execution: views, collisions, runs, trace serialization."""
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from rule_tables import E, NE, NW, SE, SW, W, mask_of, stay, table
@@ -30,6 +32,8 @@ def test_view_validation():
             View(visibility, frozenset())
     with pytest.raises(ValueError):
         View(1, frozenset({(4, 0)}))  # a range-2 label in a range-1 view
+    with pytest.raises(ValueError, match="outside visibility range 2"):
+        View(2, frozenset({(6, 0)}))  # three steps away
     v = View(1, frozenset({(2, 0)}))
     assert (2, 0) in v.occupied and (-2, 0) not in v.occupied
 
@@ -37,9 +41,21 @@ def test_view_validation():
 def test_view_built_from_a_set_is_frozen_and_decides_alike():
     loose = View(2, {(2, 0), (3, 1)})
     exact = View(2, frozenset({(2, 0), (3, 1)}))
-    assert type(loose.occupied) is frozenset
+    assert type(loose.occupied) is frozenset and loose.occupied == {(2, 0), (3, 1)}
     assert loose == exact and hash(loose) == hash(exact) and loose.mask == exact.mask
     assert decide_move(loose) is decide_move(exact)
+    interned = engine.view_of(exact.mask, 2)
+    assert interned == exact and hash(interned) == hash(exact)
+    assert exact != View(1, {(2, 0)}) and exact != View(2, {(2, 0)})
+    for attr, value in (("mask", 0), ("visibility", 1)):
+        with pytest.raises(FrozenInstanceError):
+            setattr(exact, attr, value)
+    # On Python 3.11 a frozen slots dataclass raises TypeError for a name
+    # that is not a field: its __setattr__ calls super() with the class it
+    # had before slots were added.
+    with pytest.raises((AttributeError, TypeError)):
+        exact.occupied = frozenset()
+    assert exact.occupied == {(2, 0), (3, 1)}
 
 
 def test_observe_requires_membership():
@@ -69,10 +85,11 @@ def test_observe_matches_labelled_reference_and_interns_views():
                     if other != robot and distance(robot, other) <= visibility
                 )
                 assert view.visibility == visibility
-                assert view.occupied == expected
+                occupied = view.occupied
+                assert occupied == expected
                 assert interned.setdefault((visibility, expected), view) is view
                 assert engine._VIEWS[visibility][view.mask] is view
-                assert View(visibility, view.occupied).mask == view.mask
+                assert View(visibility, occupied).mask == view.mask
                 near = [d for d in Direction if neighbor(robot, d) in cfg]
                 assert view.mask & 0b111111 == mask_of(near)
     assert len([v for v, _ in interned if v == 1]) == 63  # all but the empty view

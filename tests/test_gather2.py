@@ -2,10 +2,11 @@
 
 import functools
 import itertools
+import random
 
 import pytest
 
-from oracles import screen_all_pairs
+from oracles import chain_moves, screen_all_pairs
 from trigather import engine, gather2
 from trigather.config import enumerate_connected, gathered_hexagon
 from trigather.engine import View, observe
@@ -31,6 +32,14 @@ def view(*occupied):
     return View(2, frozenset(occupied))
 
 
+def mask_of(occupied):
+    return View(2, occupied).mask
+
+
+def labels_of(mask):
+    return frozenset(lbl for i, lbl in enumerate(ALL_LABELS) if mask >> i & 1)
+
+
 @pytest.fixture(scope="module")
 def n7_views():
     """Each range-2 view of the 7-robot shapes, with the shapes showing it.
@@ -41,7 +50,7 @@ def n7_views():
     shapes = {}
     for cfg in enumerate_connected(7):
         for robot in cfg:
-            shapes.setdefault(observe(cfg, robot, 2).occupied, []).append(cfg)
+            shapes.setdefault(observe(cfg, robot, 2), []).append(cfg)
     return shapes
 
 
@@ -101,15 +110,14 @@ def test_requires_range2():
 def test_completion_rules_target_empty_and_screened():
     for occupied, move in COMPLETION_RULES:
         assert _MOVE_LABEL[move] not in occupied
-        assert preserves_visible_connectivity(occupied, move)
+        assert preserves_visible_connectivity(mask_of(occupied), move)
 
 
 def test_completion_rules_apply_only_where_chain_stays():
     for occupied, _ in COMPLETION_RULES:
-        _, matched = matching_rules(occupied)
-        screened = [
-            r for r in matched if preserves_visible_connectivity(occupied, r.move)
-        ]
+        mask = mask_of(occupied)
+        _, matched = matching_rules(mask)
+        screened = [r for r in matched if preserves_visible_connectivity(mask, r.move)]
         assert screened == []
 
 
@@ -117,50 +125,53 @@ def test_screen_blocks_splitting_move():
     # NW rule of line 29 would strand the lone (1,-1) dependent; the
     # screen suppresses it and a completion rule supplies E instead
     occ = frozenset({(1, 1), (2, 2), (1, -1)})
-    _, matched = matching_rules(occ)
+    _, matched = matching_rules(mask_of(occ))
     assert [r.line for r in matched] == [29]
-    assert not preserves_visible_connectivity(occ, Direction.NW)
+    assert not preserves_visible_connectivity(mask_of(occ), Direction.NW)
     assert decide_move(View(2, occ)) is Direction.E
     assert decide_verbatim(View(2, occ)) is Direction.NW
 
 
 def test_exhaustive_view_audit():
-    """All 2^18 views: guard exclusivity, move legality, base dispatch.
+    """All 2^18 view masks: guard exclusivity, move legality, base dispatch.
 
     Within a selected branch at most one rule may match (the chain order
     therefore never adjudicates between live guards), and a matched rule
     never targets an occupied label.  The chain enters the branch of the
     base ``base_label`` reports, so the two base exceptions need no
     separate dispatch: an empty (2, 0) base selects lines 1-3; an
-    undetermined base or an occupied (2, 0) selects lines 31-33.
+    undetermined base or an occupied (2, 0) selects lines 31-33.  The
+    masks are walked as integers, and ``base_label``'s mask form reads
+    each, so no label set or ``View`` is built per view.
     """
     owner = {b: branch.lines for branch in GUARD_TABLE for b in branch.bases}
     assert len(owner) == sum(len(branch.bases) for branch in GUARD_TABLE)
     assert all(owner[b] == "31-33" for b in [(0, 0), (1, 1), (1, -1), (2, 0)])
+    target_bit = {move: mask_of([lbl]) for move, lbl in _MOVE_LABEL.items()}
+    east = mask_of([(2, 0)])
     multi = 0
-    for bits in itertools.product((0, 1), repeat=18):
-        occ = frozenset(l for l, b in zip(ALL_LABELS, bits) if b)
-        branch, matched = matching_rules(occ)
+    for mask in range(1 << 18):
+        branch, matched = matching_rules(mask)
         if len(matched) >= 2:
             multi += 1
         if matched:
-            assert _MOVE_LABEL[matched[0].move] not in occ
-        base = base_label(View(2, occ))
-        if base == (2, 0) and base not in occ:
-            assert branch.lines == "1-3"
+            assert not mask & target_bit[matched[0].move], mask
+        base = gather2._base(mask)
+        if base == (2, 0) and not mask & east:
+            assert branch.lines == "1-3", mask
         elif base is None:
-            assert branch.lines == "31-33"
+            assert branch.lines == "31-33", mask
         else:
-            assert branch.lines == owner[base]
+            assert branch.lines == owner[base], mask
     assert multi == 0
 
 
 def test_screen_filters_exactly_the_documented_lines(n7_views):
     """Recompute which rule lines the connectivity screen filters."""
     filtered = set()
-    for occ in n7_views:
-        _, matched = matching_rules(occ)
-        if matched and not preserves_visible_connectivity(occ, matched[0].move):
+    for v in n7_views:
+        _, matched = matching_rules(v.mask)
+        if matched and not preserves_visible_connectivity(v.mask, matched[0].move):
             filtered.add(matched[0].line)
     assert filtered == {8, 19, 29}
     assert "filters rule lines 8, 19 and 29," in dump_guards()
@@ -173,19 +184,45 @@ def _empty_target_moves(occupied):
 
 def test_screen_matches_all_pairs_definition_on_reached_views(n7_views):
     """The one-group screen equals the documented all-pairs screen where it is used."""
-    pairs = [(occ, d) for occ in n7_views for d in _empty_target_moves(occ)]
-    assert (len(n7_views), len(pairs)) == (5188, 16860)
+    views = [v.occupied for v in n7_views]
+    pairs = [(occ, d) for occ in views for d in _empty_target_moves(occ)]
+    assert (len(views), len(pairs)) == (5188, 16860)
     pairs += [(occ, d) for occ, _ in COMPLETION_RULES for d in _empty_target_moves(occ)]
     for occ, d in pairs:
-        assert preserves_visible_connectivity(occ, d) == screen_all_pairs(occ, d), (occ, d)
+        assert preserves_visible_connectivity(mask_of(occ), d) == screen_all_pairs(occ, d), (occ, d)
 
 
 @pytest.mark.slow  # 2^18 views x 6 moves against the oracle
 def test_screen_matches_all_pairs_definition_on_every_view():
     for bits in itertools.product((0, 1), repeat=18):
         occ = frozenset(l for l, b in zip(ALL_LABELS, bits) if b)
+        mask = mask_of(occ)
         for d in DIRECTIONS:
-            assert preserves_visible_connectivity(occ, d) == screen_all_pairs(occ, d), (occ, d)
+            assert preserves_visible_connectivity(mask, d) == screen_all_pairs(occ, d), (occ, d)
+
+
+def _assert_decisions_match_the_chain_oracle(views):
+    for occ in views:
+        v = View(2, occ)
+        assert (decide_move(v), decide_verbatim(v)) == chain_moves(occ), sorted(occ)
+
+
+def test_decisions_match_the_chain_oracle(n7_views):
+    """Both decision functions equal the label-level reading of the tables
+    on the 5,188 views the n=7 sweep reaches, the 44 completion views and
+    20,000 seeded random views.
+    """
+    rng = random.Random(1)
+    views = [v.occupied for v in n7_views]
+    views += [occ for occ, _ in COMPLETION_RULES]
+    views += [labels_of(rng.getrandbits(18)) for _ in range(20_000)]
+    assert len(views) == 5188 + 44 + 20_000
+    _assert_decisions_match_the_chain_oracle(views)
+
+
+@pytest.mark.slow  # 2^18 views against the chain oracle
+def test_decisions_match_the_chain_oracle_on_every_view():
+    _assert_decisions_match_the_chain_oracle(map(labels_of, range(1 << 18)))
 
 
 def test_every_completion_rule_is_necessary(n7_views):
@@ -198,11 +235,13 @@ def test_every_completion_rule_is_necessary(n7_views):
     """
     decide = functools.cache(decide_move)  # shared by all rules: views repeat across runs
     for occupied, _ in COMPLETION_RULES:
-        def dropped(v, occupied=occupied):
-            return None if v.occupied == occupied else decide(v)
+        completion_view = View(2, occupied)
+
+        def dropped(v, completion_view=completion_view):
+            return None if v == completion_view else decide(v)
 
         failing = []
-        for cfg in dict.fromkeys(n7_views.get(occupied, ())):
+        for cfg in dict.fromkeys(n7_views.get(completion_view, ())):
             trace = engine.run(cfg, dropped, 2, max_steps=MAX_STEPS_OBSERVED + 1)
             gathered = trace.outcome.kind == engine.OutcomeKind.GATHERED
             if not (gathered and len(trace.steps) <= MAX_STEPS_OBSERVED):

@@ -7,6 +7,7 @@ import pytest
 
 from trigather import verify
 from trigather.cli import summary_csv_rows
+from trigather.engine import View
 from trigather.verify import verify_sweep
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -62,3 +63,17 @@ def test_sweep_decides_once_per_distinct_view(monkeypatch):
     assert len(seen) == len(set(seen)) == 5188
     assert summary.results == expected.results
     assert failure_traces == []
+
+
+@pytest.mark.parametrize("algorithm", sorted(verify.ALGORITHMS))
+def test_sweep_decides_on_masks_alone(monkeypatch, algorithm):
+    """The sweep and both decision functions never build a view's label set."""
+
+    def refuse(view):
+        raise AssertionError("View.occupied read during the sweep")
+
+    monkeypatch.setattr(View, "occupied", property(refuse))
+    summary, failure_traces = verify_sweep(7, algorithm)
+    expected = {"gather2-v1": {"gathered": 3652}, "gather2-verbatim": VERBATIM_OUTCOMES}
+    assert summary.outcome_counts == expected[algorithm]
+    assert len(failure_traces) == 3652 - summary.gathered
