@@ -140,6 +140,13 @@ class Outcome:
         return self.kind
 
 
+# The outcomes that carry no payload, one shared immutable value each.
+_GATHERED = Outcome(OutcomeKind.GATHERED)
+_LIVELOCK_1 = Outcome(OutcomeKind.LIVELOCK, cycle_length=1)
+_DISCONNECTED = Outcome(OutcomeKind.DISCONNECTED)
+_STEP_LIMIT = Outcome(OutcomeKind.STEP_LIMIT)
+
+
 @dataclass(frozen=True, slots=True)
 class TraceStep:
     decisions: tuple[Move, ...]  # aligned with sorted() of the pre-step robots
@@ -212,7 +219,9 @@ def apply_decisions(
     Collision modes are checked before any state change, in the order
     swap, move-onto-stationary, same-target, scanning robots in the order
     of ``decisions`` (sorted, as :func:`compute_decisions` builds it) so the
-    first report is deterministic.
+    first report is deterministic.  A collision-free successor is a
+    frozenset built from a dict of the arrivals, so it is sized for its
+    robots rather than grown by one insertion at a time.
     """
     targets = {r: (neighbor(r, m) if m is not None else r) for r, m in decisions.items()}
     movers = [r for r, m in decisions.items() if m is not None]
@@ -239,7 +248,7 @@ def apply_decisions(
                 CollisionKind.SAME_TARGET, tuple((g, decisions[g]) for g in group)
             )
 
-    nxt = frozenset(targets.values())
+    nxt = frozenset(dict.fromkeys(targets.values()))
     assert len(nxt) == len(cfg), "collision check must preserve robot count"
     return nxt
 
@@ -250,12 +259,11 @@ def settle(cfg: Configuration, decisions: dict[TriCoord, Move]) -> Outcome | Con
     ``decisions`` maps every robot, in sorted order, to its move.  Returns
     the ``Outcome`` that ends a run at ``cfg`` (all stay: gathered on a
     hexagon, else ``livelock:1``; or a collision) or the successor,
-    connected or not.
+    connected or not.  ``gathered`` and ``livelock:1`` are shared immutable
+    values: compare outcomes with ``==``, never with ``is``.
     """
     if all(m is None for m in decisions.values()):
-        if is_gathered(cfg):
-            return Outcome(OutcomeKind.GATHERED)
-        return Outcome(OutcomeKind.LIVELOCK, cycle_length=1)
+        return _GATHERED if is_gathered(cfg) else _LIVELOCK_1
     result = apply_decisions(cfg, decisions)
     if isinstance(result, CollisionReport):
         return Outcome(OutcomeKind.COLLISION, collision=result)
@@ -276,6 +284,9 @@ def run(
     - disconnected: on the first disconnected successor,
     - livelock: the canonical form of the configuration repeats,
     - step-limit: ``max_steps`` recorded steps without any of the above.
+
+    Like ``settle``'s, the ``disconnected`` and ``step-limit`` outcomes are
+    shared immutable values.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be positive")
@@ -296,7 +307,7 @@ def run(
         connected = is_connected(result)
         steps.append(TraceStep(tuple(decisions.values()), result, connected))
         if not connected:
-            outcome = Outcome(OutcomeKind.DISCONNECTED)
+            outcome = _DISCONNECTED
             break
         key = canonicalize(result)
         if key in seen:
@@ -305,7 +316,7 @@ def run(
         seen[key] = len(steps)
         current = result
         if len(steps) >= max_steps:
-            outcome = Outcome(OutcomeKind.STEP_LIMIT)
+            outcome = _STEP_LIMIT
     return Trace(initial, visibility, tuple(steps), outcome)
 
 

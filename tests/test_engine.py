@@ -1,6 +1,10 @@
 """FSYNC execution: views, collisions, runs, trace serialization."""
 
+import importlib.util
+import random
+import sys
 from dataclasses import FrozenInstanceError
+from pathlib import Path
 
 import pytest
 
@@ -18,10 +22,22 @@ from trigather.engine import (
     trace_to_lines,
 )
 from trigather.gather2 import decide_move
-from trigather.grid import Direction, distance, label_of, neighbor
+from trigather.grid import DIRECTIONS, Direction, distance, label_of, neighbor
 from trigather.range1 import BUILTIN_CONFIGS
 
 SE_LINE = frozenset((k, -k) for k in range(7))
+
+
+def _load_reference():
+    """The benchmark's reference simulator, which imports nothing from trigather."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("bench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+reference = _load_reference()
 
 
 def test_view_validation():
@@ -204,3 +220,73 @@ def test_decisions_are_in_sorted_robot_order():
     decisions = engine.compute_decisions(cfg, decide_move, 2)
     assert list(decisions) == sorted(cfg)
     assert run(cfg, decide_move, 2).steps[0].decisions == tuple(decisions.values())
+
+
+def _reference_settle(cfg, moves):
+    """``settle``'s result as the reference states it: an outcome token with
+    named participants, or ``("ok", successor)``."""
+    named = {r: None if m is None else m.name for r, m in moves.items()}
+    if all(m is None for m in named.values()):
+        return ("gathered" if reference.is_hexagon(cfg) else "livelock:1",)
+    result = reference.fsync_step(cfg, named)
+    if result[0] == "collision":
+        return (f"collision:{result[1]}", result[2])
+    return result
+
+
+def _engine_settle(cfg, moves):
+    result = settle(cfg, moves)
+    if not isinstance(result, Outcome):
+        return ("ok", result)
+    if result.collision is None:
+        return (result.token(),)
+    named = tuple((r, None if m is None else m.name) for r, m in result.collision.participants)
+    return (result.token(), named)
+
+
+def test_settle_matches_the_reference_move_phase():
+    # Every connected shape up to 6 robots and a sample of the 7-robot ones,
+    # each with all-stay and seeded random moves (a robot stays with
+    # probability 1/2, else moves in a random direction), against the
+    # benchmark reference: collision kind, participants in order, successor,
+    # and the all-stay rule.
+    rng = random.Random(0x5E771E)
+    shapes = [s for n in range(1, 7) for s in enumerate_connected(n)]
+    shapes += rng.sample(enumerate_connected(7), 400) + [gathered_hexagon()]
+    kinds = set()
+    vacate_and_enter = 0
+    for cfg in shapes:
+        order = sorted(cfg)
+        draws = [dict.fromkeys(order)]
+        draws += [{r: rng.choice((None, rng.choice(DIRECTIONS))) for r in order} for _ in range(4)]
+        for moves in draws:
+            got = _engine_settle(cfg, moves)
+            assert got == _reference_settle(cfg, moves), (sorted(cfg), moves)
+            kinds.add(got[0])
+            if got[0] == "ok" and any(
+                m is not None and neighbor(r, m) in cfg for r, m in moves.items()
+            ):
+                vacate_and_enter += 1
+    assert kinds == {
+        "ok", "gathered", "livelock:1",
+        "collision:swap", "collision:move-onto-stationary", "collision:same-target",
+    }
+    assert vacate_and_enter > 0
+
+    # One cycle holding a same-target pair, first in scan order, and a swap:
+    # swaps are checked first, so the swap is reported.
+    cfg = frozenset({(0, 0), (1, 0), (2, 0), (3, 0)})
+    moves = {(0, 0): NE, (1, 0): NW, (2, 0): E, (3, 0): W}
+    expected = ("collision:swap", (((2, 0), "E"), ((3, 0), "W")))
+    assert _engine_settle(cfg, moves) == _reference_settle(cfg, moves) == expected
+
+
+def test_successors_are_sized_for_their_robots_and_bare_outcomes_shared():
+    successor = settle(SE_LINE, compute_decisions(SE_LINE, decide_move, 2))
+    assert type(successor) is frozenset and len(successor) == 7
+    assert sys.getsizeof(successor) == sys.getsizeof(frozenset(dict.fromkeys(successor)))
+    # Outcomes without a payload are one shared immutable value per kind.
+    ne_line = BUILTIN_CONFIGS["fig5b-diagonal"].robots
+    assert settle(SE_LINE, dict.fromkeys(SE_LINE)) is settle(ne_line, dict.fromkeys(ne_line))
+    capped = (run(cfg, decide_move, 2, max_steps=1).outcome for cfg in (SE_LINE, ne_line))
+    assert next(capped) is next(capped)
