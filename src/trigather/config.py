@@ -122,7 +122,7 @@ def canonicalize(cfg: Configuration) -> Configuration:
     ma, mb = min(cfg)
     if ma == 0 and mb == 0:
         return frozenset(cfg)
-    return frozenset((a - ma, b - mb) for a, b in cfg)
+    return translate(cfg, (-ma, -mb))
 
 
 def gathered_hexagon() -> Configuration:

@@ -43,9 +43,13 @@ a fixed point.
 
 The functions evaluate a bitmask form of the three layers that is derived
 at import from their label sets alone: a robots mask and an empties mask
-per clause, tested against a view's ``mask``.
+per clause, tested against a view's ``mask``.  The base is read off the
+same mask, column by column of the window from x-element 4 down to 0:
+the first column holding a robot gives its one label, or no base when it
+holds two or more.
 ``tests/test_gather2.py::test_decisions_match_the_chain_oracle`` checks
-both decision functions equal to a label-level reading of the tables.
+both decision functions equal to a label-level reading of the tables,
+and ``base_label`` equal to the base rule as stated above.
 """
 
 from __future__ import annotations
@@ -346,12 +350,14 @@ COMPLETION_RULES: tuple[tuple[frozenset, Direction], ...] = (
 # Derived at import from the label sets of GUARD_TABLE, its two base
 # exceptions and COMPLETION_RULES, and from nothing else.  A clause holds
 # on a view mask when ``mask & care == robots``, where ``care`` is its
-# robots mask or'ed with its empties mask.
+# robots mask or'ed with its empties mask.  The plain base is read off
+# the rightmost window column the mask occupies, self included.
 
 # Each label's bit, as ``View`` numbers them.  Self at (0, 0) takes the
 # bit above them, so the closed range-2 window of 19 nodes is one mask.
 _BIT: dict[Label, int] = {lbl: View(2, [lbl]).mask for lbl in RANGE1_LABELS + RANGE2_LABELS}
 _SELF = 1 << len(_BIT)
+_WINDOW_BIT: dict[Label, int] = {(0, 0): _SELF} | _BIT
 
 
 def _mask(labels: Iterable[Label]) -> int:
@@ -372,41 +378,15 @@ def _holds(mask: int, clauses: tuple[tuple[int, int], ...]) -> bool:
     return False
 
 
-# The labels of positive x-element as columns, by ascending x-element:
-# {bit: label} per column.
-_COLUMNS: dict[int, dict[int, Label]] = {
-    x: {bit: lbl for lbl, bit in _BIT.items() if lbl[0] == x}
-    for x in sorted({x for x, _ in _BIT if x > 0})
-}
-_POSITIVE_MASK = _mask(lbl for lbl in _BIT if lbl[0] > 0)
-_ZERO_X_MASK = _mask(lbl for lbl in _BIT if lbl[0] == 0)
-
-
-def _derive_plain_bases() -> dict[int, Label | None]:
-    """The plain base for each nonempty set of occupied labels of positive
-    x-element, keyed by its mask.
-
-    The rightmost occupied column decides: its one occupied label, or
-    None (a tie) when it holds more than one.
-    """
-    bases: dict[int, Label | None] = {}
-    left = [0]  # each set of labels left of the column, as a mask
-    for column in _COLUMNS.values():
-        subsets = [0]
-        for bit in column:
-            subsets += [subset | bit for subset in subsets]
-        for top in subsets[1:]:
-            base = column.get(top)
-            for low in left:
-                bases[top | low] = base
-        left = [top | low for top in subsets for low in left]
-    return bases
-
-
-# The plain base by the occupied labels of positive x-element.  With none
-# of them occupied, self (x-element 0) is the base unless a label of
-# x-element 0 ties it.
-_PLAIN_BASE = _derive_plain_bases()
+# The window's columns of x-element 4 down to 0, each as its mask and its
+# labels by bit.  Self is in column 0, so a scan that counts self as a
+# robot ends there at the latest.
+_COLUMNS: tuple[tuple[int, dict[int, Label]], ...] = tuple(
+    (sum(column), column)
+    for column in (
+        {bit: lbl for lbl, bit in _WINDOW_BIT.items() if lbl[0] == x} for x in range(4, -1, -1)
+    )
+)
 _BASE_EXCEPTIONS: tuple[tuple[tuple[int, int], Label], ...] = (
     (_clause_masks(_BASE_40_EXCEPTION), (4, 0)),
     (_clause_masks(_BASE_20_EXCEPTION), (2, 0)),
@@ -434,7 +414,6 @@ _BRANCH_CLAUSES: tuple[tuple[int, int, int], ...] = tuple(
 # Links between the window's nodes, as the mask of each node's window
 # neighbours.  Labels are linear in the offset, so adjacent labels differ
 # by a range-1 label.
-_WINDOW_BIT: dict[Label, int] = {(0, 0): _SELF} | _BIT
 _ADJ: dict[int, int] = {
     bit: sum(_WINDOW_BIT.get((x + dx, y + dy), 0) for dx, dy in RANGE1_LABELS)
     for (x, y), bit in _WINDOW_BIT.items()
@@ -451,10 +430,11 @@ def _require_range2(view: View) -> None:
 
 
 def _plain_base(mask: int) -> Label | None:
-    positive = mask & _POSITIVE_MASK
-    if positive:
-        return _PLAIN_BASE[positive]
-    return None if mask & _ZERO_X_MASK else (0, 0)
+    """The rightmost occupied column's one label, self included; None on a tie."""
+    mask |= _SELF
+    for column, labels in _COLUMNS:
+        if mask & column:
+            return labels.get(mask & column)
 
 
 def _base(mask: int) -> Label | None:

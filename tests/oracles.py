@@ -9,11 +9,13 @@ they are distinct, in sorted order); and the list is as long as the
 number of translation classes, the fixed polyhexes counted by OEIS
 A001168.  A one-to-one map into a finite set of that size is onto it.
 
-The connectivity-screen oracle states the range-2 screen as the
-``dump-guards`` text does, pair by pair, on grid coordinates.  The chain
-oracle reads the range-2 rule's decisions off ``GUARD_TABLE`` and
-``COMPLETION_RULES`` on label sets, as the ``gather2`` docstring states
-the chain, and calls no evaluation function of ``gather2``.
+The base oracle reads the range-2 base node off the ``gather2`` docstring
+on label sets, both exceptions included.  The connectivity-screen oracle
+states the range-2 screen as the ``dump-guards`` text does, pair by pair,
+on grid coordinates.  The chain oracle reads the range-2 rule's decisions
+off ``GUARD_TABLE`` and ``COMPLETION_RULES`` on label sets, as the
+``gather2`` docstring states the chain.  None of the three calls an
+evaluation function of ``gather2``.
 """
 
 from trigather.gather2 import COMPLETION_RULES, GUARD_TABLE
@@ -90,6 +92,33 @@ def screen_all_pairs(occupied, move):
     return all(len(comps) == 1 for comps in post_of_pre.values())
 
 
+def _plain_base(occupied):
+    """The robot label of strictly largest x-element, self included, or None on a tie."""
+    robots = [(0, 0), *occupied]
+    top = max(x for x, _ in robots)
+    rightmost = [lbl for lbl in robots if lbl[0] == top]
+    return rightmost[0] if len(rightmost) == 1 else None
+
+
+def base_of(occupied):
+    """The base node's label for a range-2 view, as the ``gather2`` docstring
+    states it.
+
+    ``occupied`` holds the labels of the robots the mover at (0, 0) sees.
+    The empty (4, 0) is the base when (3, 1) and (3, -1) are robots, and
+    the empty (2, 0) when (1, 1) and (1, -1) are the only robots of
+    positive x-element.  Otherwise the base is the robot label of strictly
+    largest x-element, self counted at x-element 0, and undetermined
+    (None) on a tie.
+    """
+    occupied = frozenset(occupied)
+    if (4, 0) not in occupied and {(3, 1), (3, -1)} <= occupied:
+        return (4, 0)
+    if {lbl for lbl in occupied if lbl[0] > 0} == {(1, 1), (1, -1)}:
+        return (2, 0)
+    return _plain_base(occupied)
+
+
 _COMPLETION = dict(COMPLETION_RULES)
 
 
@@ -111,10 +140,7 @@ def chain_moves(occupied):
     def holds(clause):
         return clause.robots <= occupied and clause.empties.isdisjoint(occupied)
 
-    robots = [(0, 0), *occupied]
-    top = max(x for x, _ in robots)
-    rightmost = [lbl for lbl in robots if lbl[0] == top]
-    base = rightmost[0] if len(rightmost) == 1 else None
+    base = _plain_base(occupied)
     branch = next(
         b
         for b in GUARD_TABLE

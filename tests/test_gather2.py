@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from oracles import chain_moves, screen_all_pairs
+from oracles import base_of, chain_moves, screen_all_pairs
 from trigather import engine, gather2
 from trigather.config import enumerate_connected, gathered_hexagon
 from trigather.engine import View, observe
@@ -141,8 +141,9 @@ def test_exhaustive_view_audit():
     base ``base_label`` reports, so the two base exceptions need no
     separate dispatch: an empty (2, 0) base selects lines 1-3; an
     undetermined base or an occupied (2, 0) selects lines 31-33.  The
-    masks are walked as integers, and ``base_label``'s mask form reads
-    each, so no label set or ``View`` is built per view.
+    masks are walked as integers, and the base is read off each by the
+    column scan behind ``base_label``, so no label set or ``View`` is
+    built per view.
     """
     owner = {b: branch.lines for branch in GUARD_TABLE for b in branch.bases}
     assert len(owner) == sum(len(branch.bases) for branch in GUARD_TABLE)
@@ -204,12 +205,13 @@ def test_screen_matches_all_pairs_definition_on_every_view():
 def _assert_decisions_match_the_chain_oracle(views):
     for occ in views:
         v = View(2, occ)
+        assert base_label(v) == base_of(occ), sorted(occ)
         assert (decide_move(v), decide_verbatim(v)) == chain_moves(occ), sorted(occ)
 
 
 def test_decisions_match_the_chain_oracle(n7_views):
-    """Both decision functions equal the label-level reading of the tables
-    on the 5,188 views the n=7 sweep reaches, the 44 completion views and
+    """Both decision functions equal the label-level reading of the tables,
+    and ``base_label`` the documented base rule, on the 5,188 views the n=7 sweep reaches, the 44 completion views and
     20,000 seeded random views.
     """
     rng = random.Random(1)
