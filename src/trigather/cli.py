@@ -109,6 +109,8 @@ def _connected(cfg: configs.Configuration, name: str) -> configs.Configuration:
 
 def _claim_dir(path: str | Path) -> Path:
     """Create the output directory ``path`` (and its parents) before any work."""
+    if not path:  # Path("") is the working directory
+        raise UsageError("the output path is empty")
     out = Path(path)
     try:
         out.mkdir(parents=True, exist_ok=True)

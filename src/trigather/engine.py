@@ -22,14 +22,16 @@ an all-stay cycle that is not gathered is a livelock of length 1.
 
 One cycle is :func:`compute_decisions` then :func:`settle`, the only
 public call that runs a cycle to its end; on the gathered hexagon it
-returns the outcome ``gathered``, not the hexagon.
+returns the outcome ``gathered``, not the hexagon.  Every run ends in
+:func:`record`, which turns a stream of cycles into a :class:`Trace`:
+:func:`run` feeds it simulated cycles, ``verify`` cycles read off a table.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 from .config import Configuration, canonicalize, is_connected, is_gathered
 from .grid import (
@@ -182,22 +184,17 @@ def observe(cfg: Configuration, robot: TriCoord, visibility: int) -> View:
             mask |= bit
     view = _VIEWS[visibility].get(mask)
     if view is None:
-        view = view_of(mask, visibility)
+        view = _VIEWS[visibility][mask] = view_of(mask, visibility)
     return view
 
 
 def view_of(mask: int, visibility: int) -> View:
-    """The shared ``View`` whose occupancy ``mask`` is at ``visibility``."""
-    bits = _bits_of(visibility)
-    views = _VIEWS[visibility]
-    view = views.get(mask)
-    if view is None:
-        if not 0 <= mask < 1 << len(bits):
-            raise ValueError(f"mask {mask:#x} is outside visibility range {visibility}")
-        view = object.__new__(View)
-        object.__setattr__(view, "visibility", visibility)
-        object.__setattr__(view, "mask", mask)
-        views[mask] = view
+    """A new ``View`` of occupancy ``mask``; only :func:`observe` interns views."""
+    if not 0 <= mask < 1 << len(_bits_of(visibility)):
+        raise ValueError(f"mask {mask:#x} is outside visibility range {visibility}")
+    view = object.__new__(View)
+    object.__setattr__(view, "visibility", visibility)
+    object.__setattr__(view, "mask", mask)
     return view
 
 
@@ -270,6 +267,58 @@ def settle(cfg: Configuration, decisions: dict[TriCoord, Move]) -> Outcome | Con
     return result
 
 
+def record(
+    initial: Configuration,
+    visibility: int,
+    cycles: Iterator[Outcome | TraceStep],
+    max_steps: int,
+) -> Trace:
+    """The trace of the run from ``initial`` whose cycles ``cycles`` yields.
+
+    A cycle is the ``Outcome`` that ends the run there or the ``TraceStep``
+    it records.  The run ends, in this order: on an ``Outcome``; on the
+    first disconnected step; with ``livelock:<k>`` when the canonical form
+    repeats; with ``step-limit`` after ``max_steps`` steps.  No cycle is
+    drawn after the one that ends the run.  Like ``settle``'s, the
+    ``disconnected`` and ``step-limit`` outcomes are shared immutable values.
+    """
+    if max_steps < 1:
+        raise ValueError("max_steps must be positive")
+    steps: list[TraceStep] = []
+    seen = {canonicalize(initial): 0}
+    for cycle in cycles:
+        if isinstance(cycle, Outcome):
+            outcome = cycle
+            break
+        steps.append(cycle)
+        if not cycle.connected:
+            outcome = _DISCONNECTED
+            break
+        key = canonicalize(cycle.robots)
+        if key in seen:
+            outcome = Outcome(OutcomeKind.LIVELOCK, cycle_length=len(steps) - seen[key])
+            break
+        seen[key] = len(steps)
+        if len(steps) >= max_steps:
+            outcome = _STEP_LIMIT
+            break
+    return Trace(initial, visibility, tuple(steps), outcome)
+
+
+def _cycles(cfg: Configuration, decide: DecisionFunction, visibility: int) -> Iterator:
+    """Simulated cycles from ``cfg``: :func:`compute_decisions` then :func:`settle`."""
+    if not is_connected(cfg):
+        raise ValueError("initial configuration must be connected")
+    while True:
+        decisions = compute_decisions(cfg, decide, visibility)
+        result = settle(cfg, decisions)
+        if isinstance(result, Outcome):
+            yield result
+            return
+        yield TraceStep(tuple(decisions.values()), result, is_connected(result))
+        cfg = result
+
+
 def run(
     cfg: Configuration,
     decide: DecisionFunction,
@@ -278,46 +327,11 @@ def run(
 ) -> Trace:
     """Iterate cycles until gathering, failure, livelock, or the step cap.
 
-    Termination:
-    - the outcome :func:`settle` classifies: gathered, ``livelock:1``
-      or a collision (all-stay steps are never recorded),
-    - disconnected: on the first disconnected successor,
-    - livelock: the canonical form of the configuration repeats,
-    - step-limit: ``max_steps`` recorded steps without any of the above.
-
-    Like ``settle``'s, the ``disconnected`` and ``step-limit`` outcomes are
-    shared immutable values.
+    The reference path: :func:`record` ends the run on simulated cycles, so
+    an all-stay or colliding cycle ends it as :func:`settle` classifies it.
     """
-    if max_steps < 1:
-        raise ValueError("max_steps must be positive")
     initial = frozenset(cfg)
-    if not is_connected(initial):
-        raise ValueError("initial configuration must be connected")
-
-    steps: list[TraceStep] = []
-    seen = {canonicalize(initial): 0}
-    current = initial
-    outcome: Outcome | None = None
-    while outcome is None:
-        decisions = compute_decisions(current, decide, visibility)
-        result = settle(current, decisions)
-        if isinstance(result, Outcome):
-            outcome = result
-            break
-        connected = is_connected(result)
-        steps.append(TraceStep(tuple(decisions.values()), result, connected))
-        if not connected:
-            outcome = _DISCONNECTED
-            break
-        key = canonicalize(result)
-        if key in seen:
-            outcome = Outcome(OutcomeKind.LIVELOCK, cycle_length=len(steps) - seen[key])
-            break
-        seen[key] = len(steps)
-        current = result
-        if len(steps) >= max_steps:
-            outcome = _STEP_LIMIT
-    return Trace(initial, visibility, tuple(steps), outcome)
+    return record(initial, visibility, _cycles(initial, decide, visibility), max_steps)
 
 
 # --- trace line format (see docs/formats.md) ---

@@ -68,47 +68,26 @@ class VerificationSummary:
 _Row = tuple[tuple[engine.Move, ...], Edge]
 
 
-def _walk(
-    graph: ShapeGraph,
-    rows: list[_Row],
-    start: int,
-    visibility: int,
-    max_steps: int,
-) -> engine.Trace:
-    """The trace :func:`engine.run` records from shape ``start``, read off the table.
+def _cycles(graph: ShapeGraph, rows: list[_Row], at: int):
+    """The cycles of the run from shape ``at``, read off the table in its frame.
 
-    ``offset`` translates the frame of the current shape into the start's;
-    termination follows :func:`engine.run` case for case.
+    ``oa, ob`` translate the frame of the current shape into the start's.
     """
-    steps: list[engine.TraceStep] = []
-    seen = {start: 0}
-    at, offset = start, (0, 0)
+    oa = ob = 0
     while True:
         decisions, edge = rows[at]
         if isinstance(edge, engine.Outcome):
-            outcome = edge
             if edge.collision is not None:
-                oa, ob = offset
                 moved = tuple(((a + oa, b + ob), m) for (a, b), m in edge.collision.participants)
-                outcome = replace(edge, collision=replace(edge.collision, participants=moved))
-            break
+                edge = replace(edge, collision=replace(edge.collision, participants=moved))
+            yield edge
+            return
         if isinstance(edge, frozenset):
-            steps.append(engine.TraceStep(decisions, configs.translate(edge, offset), False))
-            outcome = engine.Outcome(engine.OutcomeKind.DISCONNECTED)
-            break
+            yield engine.TraceStep(decisions, configs.translate(edge, (oa, ob)), False)
+            return
         at, da, db = edge
-        offset = (offset[0] + da, offset[1] + db)
-        steps.append(engine.TraceStep(decisions, configs.translate(graph.shape(at), offset), True))
-        if at in seen:
-            outcome = engine.Outcome(
-                engine.OutcomeKind.LIVELOCK, cycle_length=len(steps) - seen[at]
-            )
-            break
-        seen[at] = len(steps)
-        if len(steps) >= max_steps:
-            outcome = engine.Outcome(engine.OutcomeKind.STEP_LIMIT)
-            break
-    return engine.Trace(graph.shape(start), visibility, tuple(steps), outcome)
+        oa, ob = oa + da, ob + db
+        yield engine.TraceStep(decisions, configs.translate(graph.shape(at), (oa, ob)), True)
 
 
 def verify_sweep(
@@ -126,10 +105,12 @@ def verify_sweep(
     ``{mask: move}`` table is the only decision memo in the program; the
     decision functions themselves cache nothing.
     Steps-to-gather is a shape's depth below a gathered shape.  Every other
-    start fails, and its outcome and trace are read off the table by
-    walking it from that start.  :func:`engine.run` stays the reference
-    path: the differential tests compare every result and trace line
-    against one run per start.  Results are in canonical enumeration order.
+    start fails: its cycles are read off the table from that start, and
+    :func:`engine.record`, which ends every run of ``engine.run`` too,
+    decides where its trace ends.  :func:`engine.run` stays the reference
+    for the cycles: the differential tests compare every result and trace
+    line against one run per start.  Results are in canonical enumeration
+    order.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be positive")
@@ -172,7 +153,8 @@ def verify_sweep(
         if depth.get(idx, max_steps) < max_steps:
             results.append(ConfigResult(idx, gathered, depth[idx]))
             continue
-        trace = _walk(graph, rows, idx, visibility, max_steps)
+        cycles = _cycles(graph, rows, idx)
+        trace = engine.record(graph.shape(idx), visibility, cycles, max_steps)
         results.append(ConfigResult(idx, trace.outcome, len(trace.steps)))
         failure_traces.append((idx, engine.trace_to_lines(trace, algorithm)))
     summary = VerificationSummary(algorithm, n, tuple(results), time.perf_counter() - started)

@@ -372,7 +372,8 @@ _OUT_ARGV = {
 @pytest.mark.parametrize(
     "command,block",
     [(c, b) for c in _OUT_ARGV for b in ("file", "under-file")]
-    + [("verify", "failures-file"), ("verify", "summary-dir")],
+    + [("verify", "failures-file"), ("verify", "summary-dir")]
+    + [(c, "empty") for c in ("verify", "run", "range1")],
     ids=lambda v: v,
 )
 def test_unwritable_output_path_exits_2(command, block, hexa_file, tmp_path, capsys,
@@ -389,6 +390,8 @@ def test_unwritable_output_path_exits_2(command, block, hexa_file, tmp_path, cap
     (tmp_path / "start.json").write_text(hexa_file.read_text())
     (tmp_path / "rules.tbl").write_text(table_to_text(ALL_STAY))
     blocker = target = tmp_path / "blocker"
+    if block == "empty":  # Path("") is the working directory; a run there would delete this
+        target, blocker = "", tmp_path / "start-step007.svg"
     if block == "under-file":
         target = blocker / "x"
     if block in ("failures-file", "summary-dir"):  # --out-dir is writable, an output in it not
@@ -401,10 +404,12 @@ def test_unwritable_output_path_exits_2(command, block, hexa_file, tmp_path, cap
         blocker.write_text("")
     if command == "enumerate" and block == "file":
         target = tmp_path  # a directory cannot be written as a file
+    names = sorted(tmp_path.iterdir())
     assert main(_OUT_ARGV[command] + [str(target)]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+    assert sorted(tmp_path.iterdir()) == names
     if block == "summary-dir":
         assert blocker.is_dir() and not any(blocker.iterdir())
     else:
@@ -466,7 +471,7 @@ def test_verify_sweep_matches_per_start_runs(all_stay, algorithm, n):
 
 
 # The gather2 algorithms never collide at n<=7; random range-1 tables do,
-# also after a few steps, where the walk translates the participants.
+# also after a few steps, where the sweep moves the participants into the start's frame.
 @pytest.mark.parametrize("n", range(1, 8))
 @pytest.mark.parametrize("seed", [2, 3])
 def test_verify_sweep_matches_per_start_runs_of_colliding_tables(seed, n, monkeypatch):

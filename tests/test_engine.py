@@ -12,8 +12,11 @@ from rule_tables import E, NE, NW, SE, SW, W, mask_of, stay, table
 from trigather import engine
 from trigather.config import canonicalize, enumerate_connected, gathered_hexagon, translate
 from trigather.engine import (
+    CollisionKind,
+    CollisionReport,
     Outcome,
     OutcomeKind,
+    TraceStep,
     View,
     compute_decisions,
     observe,
@@ -115,7 +118,7 @@ def test_view_of_returns_the_view_observe_interns():
     hexa = gathered_hexagon()
     for visibility in (1, 2):
         view = observe(hexa, (0, 0), visibility)
-        assert engine.view_of(view.mask, visibility) is view
+        assert engine.view_of(view.mask, visibility) == view  # equal, but not interned
     assert engine.view_of(0b101, 1).occupied == {(2, 0), (-1, 1)}
     with pytest.raises(ValueError, match="outside visibility range 1"):
         engine.view_of(1 << 6, 1)
@@ -162,6 +165,46 @@ def test_run_detects_translation_livelock():
     assert tr.outcome.kind == OutcomeKind.LIVELOCK
     assert tr.outcome.cycle_length == 1
     assert len(tr.steps) == 1
+
+
+def _stream(*cycles):
+    """``cycles``, then a failure: ``record`` draws no cycle past the one that ends the run."""
+    yield from cycles
+    raise AssertionError("record drew a cycle after the one that ends the run")
+
+
+PAIR = frozenset({(0, 0), (1, 0)})
+_NE_PAIR = TraceStep((), frozenset({(0, 0), (0, 1)}), True)
+_NW_PAIR = TraceStep((), frozenset({(0, 0), (-1, 1)}), True)
+_PAIR_AGAIN = TraceStep((), translate(PAIR, (3, 3)), True)
+_SPLIT = TraceStep((), frozenset({(0, 0), (2, 0)}), False)
+_SWAP = Outcome(
+    OutcomeKind.COLLISION,
+    collision=CollisionReport(CollisionKind.SWAP, (((0, 0), E), ((1, 0), W))),
+)
+_LIVELOCK_2 = Outcome(OutcomeKind.LIVELOCK, cycle_length=2)
+# case -> (cycles, max_steps, outcome); every recorded cycle is a step of the trace
+RECORD_CASES = {
+    "collision-payload": ((_NE_PAIR, _SWAP), 5, _SWAP),
+    "disconnected-step-kept": ((_NE_PAIR, _SPLIT), 5, Outcome(OutcomeKind.DISCONNECTED)),
+    "livelock-on-a-translate": ((_NE_PAIR, _PAIR_AGAIN), 5, _LIVELOCK_2),
+    "livelock-on-the-last-step": ((_NE_PAIR, _PAIR_AGAIN), 2, _LIVELOCK_2),
+    "step-limit": ((_NE_PAIR, _NW_PAIR), 2, Outcome(OutcomeKind.STEP_LIMIT)),
+    "no-steps-allowed": ((), 0, ValueError),
+}
+
+
+@pytest.mark.parametrize("case", RECORD_CASES)
+def test_record_ends_each_stream_by_the_documented_rule(case):
+    cycles, max_steps, outcome = RECORD_CASES[case]
+    if outcome is ValueError:  # raised before the first cycle is drawn
+        with pytest.raises(ValueError, match="max_steps must be positive"):
+            engine.record(PAIR, 1, _stream(*cycles), max_steps)
+        return
+    trace = engine.record(PAIR, 1, _stream(*cycles), max_steps)
+    assert trace.outcome == outcome
+    assert trace.steps == tuple(c for c in cycles if isinstance(c, TraceStep))
+    assert (trace.initial, trace.visibility) == (PAIR, 1)
 
 
 def test_livelock_cycle_resimulates():

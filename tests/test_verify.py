@@ -5,7 +5,7 @@ import pathlib
 
 import pytest
 
-from trigather import verify
+from trigather import engine, verify
 from trigather.cli import summary_csv_rows
 from trigather.engine import View
 from trigather.verify import verify_sweep
@@ -77,3 +77,11 @@ def test_sweep_decides_on_masks_alone(monkeypatch, algorithm):
     expected = {"gather2-v1": {"gathered": 3652}, "gather2-verbatim": VERBATIM_OUTCOMES}
     assert summary.outcome_counts == expected[algorithm]
     assert len(failure_traces) == 3652 - summary.gathered
+
+
+def test_sweep_keeps_no_view_alive(monkeypatch):
+    """Only ``observe`` interns views: the sweep's views die with their decisions."""
+    monkeypatch.setitem(engine._VIEWS, 2, {})
+    summary, _ = verify_sweep(7, "gather2-v1")
+    assert summary.gathered == 3652
+    assert engine._VIEWS[2] == {}
