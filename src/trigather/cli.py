@@ -107,11 +107,16 @@ def _connected(cfg: configs.Configuration, name: str) -> configs.Configuration:
     return cfg
 
 
-def _claim_dir(path: str | Path) -> Path:
-    """Create the output directory ``path`` (and its parents) before any work."""
+def _out_path(path: str | Path) -> Path:
+    """``path`` as a Path; an empty one is refused, not read as the working directory."""
     if not path:  # Path("") is the working directory
         raise UsageError("the output path is empty")
-    out = Path(path)
+    return Path(path)
+
+
+def _claim_dir(path: str | Path) -> Path:
+    """Create the output directory ``path`` (and its parents) before any work."""
+    out = _out_path(path)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -147,7 +152,7 @@ def _remove_earlier(directory: Path, prefix: str, suffix: str) -> None:
 
 def _cmd_enumerate(ns: argparse.Namespace) -> int:
     if ns.out is not None:
-        _write(Path(ns.out), "")  # claim --out before enumerating
+        _write(_out_path(ns.out), "")  # claim --out before enumerating
     shapes = configs.enumerate_connected(ns.n)
     _print(f"n={ns.n} count={len(shapes)}")
     if ns.out is not None:

@@ -4,7 +4,8 @@ A shape is the sorted tuple of its robots' keys (see ``config.KEY_STRIDE``),
 smallest key 0, as :func:`config.enumerate_keys` lists them.  Robot i of a
 shape is its i-th smallest node, so per-robot lists here align with
 ``sorted()`` of the unpacked configuration and with ``TraceStep.decisions``.
-Shapes are unpacked to coordinates only where a caller needs them.
+A step maps shapes to shapes: it leaves every cycle that reaches no
+enumerated shape to :func:`engine.settle`, and unpacks nothing.
 """
 
 from __future__ import annotations
@@ -30,12 +31,6 @@ def _bit_table(probes: tuple) -> list[int]:
 _OFFSET_BITS: dict[int, list[int]] = {v: _bit_table(p) for v, p in engine.PROBES.items()}
 # The key offset of each move.
 _DELTA: dict[engine.Move, int] = {None: 0} | dict(zip(DIRECTIONS, configs.NEIGHBOR_DELTAS))
-
-# Where one cycle of a shape leads: the Outcome that ends a run there, a
-# disconnected successor in the shape's frame, or a connected successor as
-# (index, da, db): shape index translated by (da, db).
-Edge = engine.Outcome | configs.Configuration | tuple[int, int, int]
-
 
 class ShapeGraph:
     """The connected n-robot shapes: packed, indexed, observed and stepped."""
@@ -64,28 +59,20 @@ class ShapeGraph:
             masks.append(mask)
         return masks
 
-    def step(self, idx: int, moves: tuple[engine.Move, ...]) -> Edge:
+    def step(self, idx: int, moves: tuple[engine.Move, ...]) -> tuple[int, int, int] | None:
         """Move every robot of shape ``idx`` at once; ``moves`` is in robot order.
 
-        The move is collision-free exactly when all targets are distinct and
-        no two robots swap.  An all-stay or colliding step goes to
-        :func:`engine.settle`, which classifies and reports it.
+        Returns ``(index, da, db)``, shape ``index`` translated by ``(da, db)``,
+        when some robot moves, all targets are distinct, no two robots swap and
+        the robots land on an enumerated shape, else ``None``: all-stay,
+        colliding and disconnecting cycles are left to :func:`engine.settle`.
         """
         keys = self.keys[idx]
         targets = [key + _DELTA[m] for key, m in zip(keys, moves)]
         moved = {key: t for key, t in zip(keys, targets) if key != t}
-        if (
-            not moved
-            or len(set(targets)) < len(targets)
-            or any(moved.get(t) == key for key, t in moved.items())
-        ):
-            cfg = self.shape(idx)
-            outcome = engine.settle(cfg, dict(zip(sorted(cfg), moves)))
-            assert isinstance(outcome, engine.Outcome), "a clash must collide"
-            return outcome
+        if not moved or any(moved.get(t) == key for key, t in moved.items()):
+            return None
+        # Two robots on one node leave a repeated key, which no shape has.
         low = min(targets)
         nxt = self.index.get(tuple(sorted([t - low for t in targets])))
-        if nxt is None:
-            # All n robots remain, so a successor outside the index is disconnected.
-            return configs.unpack(targets)
-        return (nxt, *configs.node_of(low))
+        return None if nxt is None else (nxt, *configs.node_of(low))

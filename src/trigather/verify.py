@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import config as configs
 from . import engine, gather2
-from .shapes import Edge, ShapeGraph
+from .shapes import ShapeGraph
 
 
 # algorithm id -> (decision function, visibility range)
@@ -64,30 +64,37 @@ class VerificationSummary:
         return dict(Counter(r.outcome.token() for r in self.results))
 
 
-# A shape's decisions in sorted robot order, and where they lead.
-_Row = tuple[tuple[engine.Move, ...], Edge]
+# A shape's decisions in sorted robot order, and ShapeGraph.step's successor.
+_Row = tuple[tuple[engine.Move, ...], tuple[int, int, int] | None]
+# The outcome of a quiescent gathered shape, which every start reaching one ends on.
+_GATHERED = engine.Outcome(engine.OutcomeKind.GATHERED)
+
+
+def _settle(cfg: configs.Configuration, decisions: tuple[engine.Move, ...]):
+    """:func:`engine.settle` on decisions in sorted robot order."""
+    return engine.settle(cfg, dict(zip(sorted(cfg), decisions)))
 
 
 def _cycles(graph: ShapeGraph, rows: list[_Row], at: int):
     """The cycles of the run from shape ``at``, read off the table in its frame.
 
-    ``oa, ob`` translate the frame of the current shape into the start's.
+    The last, which reaches no enumerated shape, is settled in that frame.
     """
+    cfg = graph.shape(at)
     oa = ob = 0
     while True:
         decisions, edge = rows[at]
-        if isinstance(edge, engine.Outcome):
-            if edge.collision is not None:
-                moved = tuple(((a + oa, b + ob), m) for (a, b), m in edge.collision.participants)
-                edge = replace(edge, collision=replace(edge.collision, participants=moved))
-            yield edge
-            return
-        if isinstance(edge, frozenset):
-            yield engine.TraceStep(decisions, configs.translate(edge, (oa, ob)), False)
+        if edge is None:
+            result = _settle(cfg, decisions)
+            if isinstance(result, engine.Outcome):
+                yield result
+            else:  # collision-free, yet no enumerated shape: disconnected
+                yield engine.TraceStep(decisions, result, False)
             return
         at, da, db = edge
         oa, ob = oa + da, ob + db
-        yield engine.TraceStep(decisions, configs.translate(graph.shape(at), (oa, ob)), True)
+        cfg = configs.translate(graph.shape(at), (oa, ob))
+        yield engine.TraceStep(decisions, cfg, True)
 
 
 def verify_sweep(
@@ -104,13 +111,15 @@ def verify_sweep(
     distinct view once, as :func:`engine.view_of` builds it.  That
     ``{mask: move}`` table is the only decision memo in the program; the
     decision functions themselves cache nothing.
-    Steps-to-gather is a shape's depth below a gathered shape.  Every other
-    start fails: its cycles are read off the table from that start, and
-    :func:`engine.record`, which ends every run of ``engine.run`` too,
-    decides where its trace ends.  :func:`engine.run` stays the reference
-    for the cycles: the differential tests compare every result and trace
-    line against one run per start.  Results are in canonical enumeration
-    order.
+    A step that reaches no enumerated shape is left to :func:`engine.settle`,
+    once per shape to find the quiescent gathered shapes: steps-to-gather is
+    a shape's depth below one.  Every other start fails: its cycles are read
+    off the table from that start, its last cycle is settled again in the
+    start's frame, and :func:`engine.record`, which ends every run of
+    ``engine.run`` too, decides where its trace ends.  :func:`engine.run`
+    stays the reference for the cycles: the differential tests compare every
+    result and trace line against one run per start.  Results are in
+    canonical enumeration order.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be positive")
@@ -122,7 +131,6 @@ def verify_sweep(
     distinct: dict = {}  # shared decision tuples: about 200 distinct among 3652 at n=7
     predecessors: list[list[int]] = [[] for _ in range(len(graph))]
     queue: list[int] = []  # quiescent gathered shapes, then breadth-first
-    gathered = None  # their outcome, which every start reaching one ends on
     for idx in range(len(graph)):
         masks = graph.masks(idx, visibility)
         for mask in masks:
@@ -131,12 +139,10 @@ def verify_sweep(
         decisions = tuple([moves[mask] for mask in masks])
         decisions = distinct.setdefault(decisions, decisions)
         edge = graph.step(idx, decisions)
-        if isinstance(edge, engine.Outcome):
-            if edge.kind == engine.OutcomeKind.GATHERED:
-                queue.append(idx)
-                gathered = edge
-        elif isinstance(edge, tuple):
+        if edge is not None:
             predecessors[edge[0]].append(idx)
+        elif _settle(graph.shape(idx), decisions) == _GATHERED:
+            queue.append(idx)
         rows.append((decisions, edge))
 
     # Breadth-first over reverse edges.  Each shape has one successor, so
@@ -151,7 +157,7 @@ def verify_sweep(
     failure_traces = []
     for idx in range(len(graph)):
         if depth.get(idx, max_steps) < max_steps:
-            results.append(ConfigResult(idx, gathered, depth[idx]))
+            results.append(ConfigResult(idx, _GATHERED, depth[idx]))
             continue
         cycles = _cycles(graph, rows, idx)
         trace = engine.record(graph.shape(idx), visibility, cycles, max_steps)

@@ -2,6 +2,7 @@
 
 import contextlib
 import functools
+import hashlib
 import io
 import json
 import os
@@ -16,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from rule_tables import ALL_STAY, stay
 from trigather import cli, engine, verify
-from trigather.cli import ALGORITHMS, EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
+from trigather.cli import ALGORITHMS, EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main, summary_csv_rows
 from trigather.config import config_to_json, enumerate_connected, gathered_hexagon
 from trigather.gather2 import dump_guards
 from trigather.range1 import (
@@ -373,7 +374,7 @@ _OUT_ARGV = {
     "command,block",
     [(c, b) for c in _OUT_ARGV for b in ("file", "under-file")]
     + [("verify", "failures-file"), ("verify", "summary-dir")]
-    + [(c, "empty") for c in ("verify", "run", "range1")],
+    + [(c, "empty") for c in _OUT_ARGV],
     ids=lambda v: v,
 )
 def test_unwritable_output_path_exits_2(command, block, hexa_file, tmp_path, capsys,
@@ -409,6 +410,8 @@ def test_unwritable_output_path_exits_2(command, block, hexa_file, tmp_path, cap
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+    if block == "empty":
+        assert err == "error: the output path is empty\n"
     assert sorted(tmp_path.iterdir()) == names
     if block == "summary-dir":
         assert blocker.is_dir() and not any(blocker.iterdir())
@@ -470,8 +473,18 @@ def test_verify_sweep_matches_per_start_runs(all_stay, algorithm, n):
         assert [r.outcome.token() for r in summary.failures] == ["step-limit"] * 2
 
 
+# The SHA-256 of the n=7 sweep at max_steps=500 of each seed's table: its
+# summary.csv, and each failure trace as its name line then its lines, in config order.
+COLLIDING_TABLE_SHA256 = {
+    2: ("539186b34f71df6ee8a5fea4d7a13b5ca40bafae9ff4d3aa93f3aef6ec6c0e51",
+        "02e53ebc0108071f34fe60739f96b5f957a1f60d04d30291588ae900ddf5a1fd"),
+    3: ("21f7729c68c692d05bfcf14cfca0f65fb83c028555a8e9eda00d008b9c4ce227",
+        "319ee7696315a929086e52e113a380a0da3a499ad6a310e91fbad82ad1032541"),
+}
+
+
 # The gather2 algorithms never collide at n<=7; random range-1 tables do,
-# also after a few steps, where the sweep moves the participants into the start's frame.
+# also after a few steps, where the sweep settles the last cycle in the start's frame.
 @pytest.mark.parametrize("n", range(1, 8))
 @pytest.mark.parametrize("seed", [2, 3])
 def test_verify_sweep_matches_per_start_runs_of_colliding_tables(seed, n, monkeypatch):
@@ -484,6 +497,14 @@ def test_verify_sweep_matches_per_start_runs_of_colliding_tables(seed, n, monkey
         results, expected_traces = per_start_sweep(n, "range1-table", max_steps)
         assert summary.results == results
         assert failure_traces == expected_traces
+        if (n, max_steps) == (7, 500):
+            traces = hashlib.sha256()
+            for idx, lines in failure_traces:
+                traces.update(f"config-{idx}.trace\n".encode())
+                traces.update(("\n".join(lines) + "\n").encode())
+            csv = "\n".join(summary_csv_rows(summary)) + "\n"
+            digests = (hashlib.sha256(csv.encode()).hexdigest(), traces.hexdigest())
+            assert digests == COLLIDING_TABLE_SHA256[seed]
         late_collisions += sum(r.outcome.kind == engine.OutcomeKind.COLLISION and r.steps > 0
                                for r in results)
     assert late_collisions > 0 or n < 3
