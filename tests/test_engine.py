@@ -333,3 +333,20 @@ def test_successors_are_sized_for_their_robots_and_bare_outcomes_shared():
     assert settle(SE_LINE, dict.fromkeys(SE_LINE)) is settle(ne_line, dict.fromkeys(ne_line))
     capped = (run(cfg, decide_move, 2, max_steps=1).outcome for cfg in (SE_LINE, ne_line))
     assert next(capped) is next(capped)
+
+
+def test_equal_collisions_and_moved_onto_nodes_are_shared():
+    # Two starts whose first cycle ends on one collision: the robot at the
+    # origin sees only its E neighbor, moves E, and its neighbor stays.
+    onto_east = table({frozenset({E}): E})
+    pair, line = frozenset({(0, 0), (1, 0)}), frozenset({(0, 0), (1, 0), (2, 0)})
+    first, second = (run(cfg, onto_east, 1).outcome for cfg in (pair, line))
+    assert first == second == Outcome(
+        OutcomeKind.COLLISION,
+        CollisionReport(CollisionKind.MOVE_ONTO_STATIONARY, (((0, 0), E), ((1, 0), None))),
+    )
+    assert first is second
+    # Robots moving onto one coordinate from two configurations land on one tuple.
+    (west,) = settle(frozenset({(3, 0)}), {(3, 0): W})
+    (east,) = settle(frozenset({(1, 0)}), {(1, 0): E})
+    assert west == east == (2, 0) and west is east

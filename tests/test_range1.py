@@ -9,8 +9,8 @@ import pytest
 
 from rule_tables import ALL_STAY, E, NE, NW, SE, SW, W, from_moves, mask_of
 from trigather import engine, range1
-from trigather.config import is_connected
-from trigather.engine import OutcomeKind, View, observe
+from trigather.config import enumerate_connected, is_connected
+from trigather.engine import OutcomeKind, View, observe, trace_to_lines
 from trigather.grid import (
     DIRECTIONS,
     RANGE2_LABELS,
@@ -21,6 +21,7 @@ from trigather.grid import (
 from trigather.range1 import (
     ACTIONS,
     BUILTIN_CONFIGS,
+    TABLE_SIZE,
     RuleTable,
     check_table,
     constrained_actions,
@@ -265,3 +266,23 @@ def test_table_lookup_matches_mask_on_all_patterns():
             far = frozenset(rng.sample(RANGE2_LABELS, rng.randint(1, len(RANGE2_LABELS))))
             assert decide(View(2, occupied | far)) is expected
         assert decide(View(2, occupied)) is expected
+
+
+# The trace lines of the seed-1 table replayed on every seven-robot start.
+SEED1_REPLAY_SHA256 = "65063514c440b23820cdb3d4fbe98d856e6dde8064154ff2c9a6657ca27d1a66"
+
+
+def test_replay_shares_equal_nodes_and_collisions():
+    rng = random.Random(1)
+    table = RuleTable(tuple(rng.choice(constrained_actions(m)) for m in range(TABLE_SIZE)))
+    traces = [check_table(table, cfg).trace for cfg in enumerate_connected(7)]
+    digest = hashlib.sha256()
+    for trace in traces:
+        digest.update(("\n".join(trace_to_lines(trace, "range1:seed-1")) + "\n").encode())
+    assert digest.hexdigest() == SEED1_REPLAY_SHA256
+    nodes = [r for trace in traces for step in trace.steps for r in step.robots]
+    assert len(set(map(id, nodes))) == len(set(nodes))
+    collisions = [t.outcome for t in traces if t.outcome.kind == OutcomeKind.COLLISION]
+    assert len(set(map(id, collisions))) == len(set(collisions))
+    # Enough of both repeat that sharing is what the counts show.
+    assert len(nodes) > 10 * len(set(nodes)) and len(collisions) > 5 * len(set(collisions))
