@@ -182,13 +182,16 @@ def _cmd_run(ns: argparse.Namespace) -> int:
     out_dir = _claim_dir(ns.out_dir)
     decide, visibility = ALGORITHMS[ns.algorithm]
     trace = engine.run(cfg, decide, visibility, ns.max_steps)
+    try:  # every frame is drawn before any file is written
+        frames = render.svg_trace(trace) if ns.render == "svg" else []
+    except OverflowError as exc:  # SVG positions are floats
+        raise UsageError(f"{ns.config}: coordinates too large to draw: {exc}") from exc
     stem = Path(ns.config).stem
     trace_path = out_dir / f"{stem}.trace"
     _write(trace_path, "\n".join(engine.trace_to_lines(trace, ns.algorithm)) + "\n")
     _remove_earlier(out_dir, f"{stem}-step", ".svg")
-    if ns.render == "svg":
-        for i, doc in enumerate(render.svg_trace(trace)):
-            _write(out_dir / f"{stem}-step{i:03d}.svg", doc)
+    for i, doc in enumerate(frames):
+        _write(out_dir / f"{stem}-step{i:03d}.svg", doc)
     if ns.render == "ascii":
         _print(render.ascii_trace(trace), end="")
     _print(f"outcome={trace.outcome.token()} steps={len(trace.steps)} trace={trace_path}")

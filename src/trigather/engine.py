@@ -20,10 +20,11 @@ legal.  Runs are deterministic, so a revisit of an earlier configuration
 (up to translation) proves an infinite loop and is reported as a livelock;
 an all-stay cycle that is not gathered is a livelock of length 1.
 
-One cycle is :func:`compute_decisions` then :func:`settle`, the only
-public call that runs a cycle to its end; on the gathered hexagon it
-returns the outcome ``gathered``, not the hexagon.  Every run ends in
-:func:`record`, which turns a stream of cycles into a :class:`Trace`:
+One cycle is :func:`compute_decisions` then :func:`settle`, the only public
+call that runs a cycle to its end; on the gathered hexagon it returns the
+outcome ``gathered``, not the hexagon.  A cycle's moves are one tuple in
+sorted robot order, as ``TraceStep.decisions`` holds them.  Every run ends
+in :func:`record`, which turns a stream of cycles into a :class:`Trace`:
 :func:`run` feeds it simulated cycles, ``verify`` cycles read off a table.
 
 Equal immutable values that runs repeat are shared: each outcome with no
@@ -157,7 +158,7 @@ _STEP_LIMIT = Outcome(OutcomeKind.STEP_LIMIT)
 
 @dataclass(frozen=True, slots=True)
 class TraceStep:
-    decisions: tuple[Move, ...]  # aligned with sorted() of the pre-step robots
+    decisions: tuple[Move, ...]  # one move per pre-step robot, in sorted() order
     robots: Configuration  # configuration after the step
     connected: bool
 
@@ -206,12 +207,9 @@ def view_of(mask: int, visibility: int) -> View:
 
 def compute_decisions(
     cfg: Configuration, decide: DecisionFunction, visibility: int
-) -> dict[TriCoord, Move]:
-    """All robots' simultaneous Look+Compute results for one cycle.
-
-    The dict is in sorted robot order, the order of ``TraceStep.decisions``.
-    """
-    return {r: decide(observe(cfg, r, visibility)) for r in sorted(cfg)}
+) -> tuple[Move, ...]:
+    """All robots' simultaneous Look+Compute results for one cycle, in sorted order."""
+    return tuple([decide(observe(cfg, r, visibility)) for r in sorted(cfg)])
 
 
 # One shared tuple per node a successor holds, keyed by itself: integer
@@ -225,42 +223,39 @@ _NODE_POOL: dict[TriCoord, TriCoord] = {}
 
 
 def apply_decisions(
-    cfg: Configuration, decisions: dict[TriCoord, Move]
+    cfg: Configuration, moves: tuple[Move, ...]
 ) -> Configuration | CollisionReport:
-    """Execute one synchronous Move phase.
+    """Execute one synchronous Move phase: ``moves`` in ``sorted(cfg)`` order.
 
-    Collision modes are checked before any state change, in the order
-    swap, move-onto-stationary, same-target, scanning robots in the order
-    of ``decisions`` (sorted, as :func:`compute_decisions` builds it) so the
-    first report is deterministic.  A collision-free successor is a
+    A count of moves other than one per robot raises ``ValueError``.
+    Collision modes are checked before any state change, in the order swap,
+    move-onto-stationary, same-target, scanning robots in sorted order so
+    the first report is deterministic.  A collision-free successor is a
     frozenset built from a dict of the arrivals, so it is sized for its
     robots rather than grown by one insertion at a time.  Its nodes, the
     ones robots move onto included, are shared: one tuple per coordinate.
     """
-    targets = {r: (neighbor(r, m) if m is not None else r) for r, m in decisions.items()}
-    movers = [r for r, m in decisions.items() if m is not None]
+    robots = sorted(cfg)
+    targets = {r: r if m is None else neighbor(r, m) for r, m in zip(robots, moves, strict=True)}
+    movers = [(r, m) for r, m in zip(robots, moves) if m is not None]
 
-    for r in movers:
+    # A mover's target is never itself, so the robot at a mover's target t
+    # stays exactly when targets[t] == t, and moves onto r when it is r.
+    for r, m in movers:
         t = targets[r]
-        if t in cfg and decisions[t] is not None and targets[t] == r:
-            return CollisionReport(
-                CollisionKind.SWAP, ((r, decisions[r]), (t, decisions[t]))
-            )
-    for r in movers:
+        if targets.get(t) == r:
+            return CollisionReport(CollisionKind.SWAP, ((r, m), (t, moves[robots.index(t)])))
+    for r, m in movers:
         t = targets[r]
-        if t in cfg and decisions[t] is None:
-            return CollisionReport(
-                CollisionKind.MOVE_ONTO_STATIONARY, ((r, decisions[r]), (t, None))
-            )
-    shared: dict[TriCoord, list[TriCoord]] = {}
-    for r in movers:
-        shared.setdefault(targets[r], []).append(r)
-    for r in movers:
+        if targets.get(t) == t:
+            return CollisionReport(CollisionKind.MOVE_ONTO_STATIONARY, ((r, m), (t, None)))
+    shared: dict[TriCoord, list[tuple[TriCoord, Direction]]] = {}
+    for r, m in movers:
+        shared.setdefault(targets[r], []).append((r, m))
+    for r, _ in movers:
         group = shared[targets[r]]
         if len(group) >= 2:
-            return CollisionReport(
-                CollisionKind.SAME_TARGET, tuple((g, decisions[g]) for g in group)
-            )
+            return CollisionReport(CollisionKind.SAME_TARGET, tuple(group))
 
     nodes = targets.values()
     nxt = frozenset(dict.fromkeys(map(_NODE_POOL.setdefault, nodes, nodes)))
@@ -276,20 +271,20 @@ def apply_decisions(
 _COLLISION_POOL: dict[CollisionReport, Outcome] = {}
 
 
-def settle(cfg: Configuration, decisions: dict[TriCoord, Move]) -> Outcome | Configuration:
+def settle(cfg: Configuration, moves: tuple[Move, ...]) -> Outcome | Configuration:
     """Classify one cycle of ``cfg``: the one place a cycle is classified.
 
-    ``decisions`` maps every robot, in sorted order, to its move.  Returns
-    the ``Outcome`` that ends a run at ``cfg`` (all stay: gathered on a
-    hexagon, else ``livelock:1``; or a collision) or the successor,
-    connected or not.  ``gathered``, ``livelock:1`` and each distinct
-    collision are shared immutable values, and so are the successor's
-    nodes, the ones robots move onto included: compare outcomes with
-    ``==``, never with ``is``.
+    ``moves`` holds one move per robot, in ``sorted(cfg)`` order; any other
+    length raises ``ValueError``.  Returns the ``Outcome`` that ends a run
+    at ``cfg`` (all stay: gathered on a hexagon, else ``livelock:1``; or a
+    collision) or the successor, connected or not.  Outcomes and nodes are
+    shared, as the module describes: compare them with ``==``, never ``is``.
     """
-    if all(m is None for m in decisions.values()):
+    if len(moves) != len(cfg):
+        raise ValueError(f"{len(moves)} moves for {len(cfg)} robots")
+    if moves.count(None) == len(moves):
         return _GATHERED if is_gathered(cfg) else _LIVELOCK_1
-    result = apply_decisions(cfg, decisions)
+    result = apply_decisions(cfg, moves)
     if isinstance(result, CollisionReport):
         outcome = _COLLISION_POOL.get(result)
         if outcome is None:
@@ -346,7 +341,7 @@ def _cycles(cfg: Configuration, decide: DecisionFunction, visibility: int) -> It
         if isinstance(result, Outcome):
             yield result
             return
-        yield TraceStep(tuple(decisions.values()), result, is_connected(result))
+        yield TraceStep(decisions, result, is_connected(result))
         cfg = result
 
 

@@ -64,28 +64,23 @@ class VerificationSummary:
         return dict(Counter(r.outcome.token() for r in self.results))
 
 
-# A shape's decisions in sorted robot order, and ShapeGraph.step's successor.
+# A shape's moves, the tuple engine.settle takes, and ShapeGraph.step's successor.
 _Row = tuple[tuple[engine.Move, ...], tuple[int, int, int] | None]
 # The outcome of a quiescent gathered shape, which every start reaching one ends on.
 _GATHERED = engine.Outcome(engine.OutcomeKind.GATHERED)
 
 
-def _settle(cfg: configs.Configuration, decisions: tuple[engine.Move, ...]):
-    """:func:`engine.settle` on decisions in sorted robot order."""
-    return engine.settle(cfg, dict(zip(sorted(cfg), decisions)))
-
-
 def _cycles(graph: ShapeGraph, rows: list[_Row], at: int):
     """The cycles of the run from shape ``at``, read off the table in its frame.
 
-    The last, which reaches no enumerated shape, is settled in that frame.
+    The last, which reaches no enumerated shape, is settled on its row's moves.
     """
     cfg = graph.shape(at)
     oa = ob = 0
     while True:
         decisions, edge = rows[at]
         if edge is None:
-            result = _settle(cfg, decisions)
+            result = engine.settle(cfg, decisions)
             if isinstance(result, engine.Outcome):
                 yield result
             else:  # collision-free, yet no enumerated shape: disconnected
@@ -111,15 +106,16 @@ def verify_sweep(
     distinct view once, as :func:`engine.view_of` builds it.  That
     ``{mask: move}`` table is the only decision memo in the program; the
     decision functions themselves cache nothing.
-    A step that reaches no enumerated shape is left to :func:`engine.settle`,
-    once per shape to find the quiescent gathered shapes: steps-to-gather is
-    a shape's depth below one.  Every other start fails: its cycles are read
-    off the table from that start, its last cycle is settled again in the
-    start's frame, and :func:`engine.record`, which ends every run of
-    ``engine.run`` too, decides where its trace ends.  :func:`engine.run`
-    stays the reference for the cycles: the differential tests compare every
-    result and trace line against one run per start.  Results are in
-    canonical enumeration order.
+    A shape's row holds its moves, the tuple :meth:`ShapeGraph.step` and
+    :func:`engine.settle` both take.  A step that reaches no enumerated
+    shape is settled, once per shape, to find the quiescent gathered shapes:
+    steps-to-gather is a shape's depth below one.  Every other start fails:
+    its cycles are read off the table from that start, its last cycle is
+    settled again in the start's frame, and :func:`engine.record`, which
+    ends every run of ``engine.run`` too, decides where its trace ends.
+    :func:`engine.run` stays the reference for the cycles: the differential
+    tests compare every result and trace line against one run per start.
+    Results are in canonical enumeration order.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be positive")
@@ -141,7 +137,7 @@ def verify_sweep(
         edge = graph.step(idx, decisions)
         if edge is not None:
             predecessors[edge[0]].append(idx)
-        elif _settle(graph.shape(idx), decisions) == _GATHERED:
+        elif engine.settle(graph.shape(idx), decisions) == _GATHERED:
             queue.append(idx)
         rows.append((decisions, edge))
 

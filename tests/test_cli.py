@@ -128,6 +128,21 @@ def test_run_disconnected_exit_2(tmp_path, capsys):
     assert "not connected" in capsys.readouterr().err
 
 
+# Two adjacent robots whose coordinates no float holds.
+HUGE_CONFIG = '{"robots": [[%s, 0], [%s8, 0]]}' % ("9" * 400, "9" * 399)
+
+
+def test_run_render_svg_of_huge_coordinates_exits_2_and_writes_no_frame(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(HUGE_CONFIG)
+    out = tmp_path / "o"
+    argv = ["run", "--config", str(path), "--render", "svg", "--out-dir", str(out)]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not list(out.glob("huge-step*.svg"))
+
+
 def test_verify_informational_for_small_n(tmp_path, capsys):
     code = main(["verify", "--n", "2", "--jobs", "1", "--out-dir", str(tmp_path / "v")])
     assert code == EXIT_OK
@@ -616,6 +631,7 @@ _argvs = st.one_of(
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(argv=_argvs, config=_configs, table=_tables)
 @example(argv=["run", "--config", "cfg.json"], config=b"\xff\xfe[", table="")
+@example(argv=["run", "--config", "cfg.json", "--render", "svg"], config=HUGE_CONFIG, table="")
 @example(argv=["range1", "--table", "rules.tbl", "--config", "fig5a-diagonal"], config="",
          table="\n".join(_TABLE_LINES[:63]))
 def test_cli_exit_codes_and_no_traceback(argv, config, table):

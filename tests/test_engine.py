@@ -261,14 +261,14 @@ def test_trace_to_lines_golden(case):
 def test_decisions_are_in_sorted_robot_order():
     cfg = translate(SE_LINE, (3, -5))
     decisions = engine.compute_decisions(cfg, decide_move, 2)
-    assert list(decisions) == sorted(cfg)
-    assert run(cfg, decide_move, 2).steps[0].decisions == tuple(decisions.values())
+    assert decisions == tuple(decide_move(observe(cfg, r, 2)) for r in sorted(cfg))
+    assert run(cfg, decide_move, 2).steps[0].decisions == decisions
 
 
 def _reference_settle(cfg, moves):
     """``settle``'s result as the reference states it: an outcome token with
     named participants, or ``("ok", successor)``."""
-    named = {r: None if m is None else m.name for r, m in moves.items()}
+    named = {r: None if m is None else m.name for r, m in zip(sorted(cfg), moves, strict=True)}
     if all(m is None for m in named.values()):
         return ("gathered" if reference.is_hexagon(cfg) else "livelock:1",)
     result = reference.fsync_step(cfg, named)
@@ -299,15 +299,14 @@ def test_settle_matches_the_reference_move_phase():
     kinds = set()
     vacate_and_enter = 0
     for cfg in shapes:
-        order = sorted(cfg)
-        draws = [dict.fromkeys(order)]
-        draws += [{r: rng.choice((None, rng.choice(DIRECTIONS))) for r in order} for _ in range(4)]
+        draws = [(None,) * len(cfg)]
+        draws += [tuple(rng.choice((None, rng.choice(DIRECTIONS))) for _ in cfg) for _ in range(4)]
         for moves in draws:
             got = _engine_settle(cfg, moves)
             assert got == _reference_settle(cfg, moves), (sorted(cfg), moves)
             kinds.add(got[0])
             if got[0] == "ok" and any(
-                m is not None and neighbor(r, m) in cfg for r, m in moves.items()
+                m is not None and neighbor(r, m) in cfg for r, m in zip(sorted(cfg), moves)
             ):
                 vacate_and_enter += 1
     assert kinds == {
@@ -316,12 +315,37 @@ def test_settle_matches_the_reference_move_phase():
     }
     assert vacate_and_enter > 0
 
-    # One cycle holding a same-target pair, first in scan order, and a swap:
-    # swaps are checked first, so the swap is reported.
-    cfg = frozenset({(0, 0), (1, 0), (2, 0), (3, 0)})
-    moves = {(0, 0): NE, (1, 0): NW, (2, 0): E, (3, 0): W}
-    expected = ("collision:swap", (((2, 0), "E"), ((3, 0), "W")))
+
+# name -> (robots, their moves in sorted robot order, the collision settle reports)
+FIRST_COLLISION_CASES = {
+    # A same-target pair, first in scan order, and a swap: swaps are checked
+    # first, so the swap is reported.
+    "swap-before-same-target": (
+        {(0, 0), (1, 0), (2, 0), (3, 0)}, (NE, NW, E, W),
+        ("collision:swap", (((2, 0), "E"), ((3, 0), "W"))),
+    ),
+    # Two swaps: the one whose first robot comes first in sorted order.
+    "double-swap": (
+        {(0, 0), (1, 0), (0, 1), (1, 1)}, (E, E, W, W),
+        ("collision:swap", (((0, 0), "E"), ((1, 0), "W"))),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", FIRST_COLLISION_CASES)
+def test_settle_reports_the_first_collision_in_sorted_robot_order(case):
+    robots, moves, expected = FIRST_COLLISION_CASES[case]
+    cfg = frozenset(robots)
     assert _engine_settle(cfg, moves) == _reference_settle(cfg, moves) == expected
+
+
+@pytest.mark.parametrize("call", [settle, engine.apply_decisions])
+@pytest.mark.parametrize("moves", [(None,), (None, E, W, None)], ids=["short", "long"])
+def test_a_move_tuple_of_the_wrong_length_raises(call, moves):
+    # settle checks the length before its all-stay shortcut, so a short
+    # all-stay tuple is refused too, and not by an assert that -O removes.
+    with pytest.raises(ValueError):
+        call(PAIR, moves)
 
 
 def test_successors_are_sized_for_their_robots_and_bare_outcomes_shared():
@@ -330,7 +354,7 @@ def test_successors_are_sized_for_their_robots_and_bare_outcomes_shared():
     assert sys.getsizeof(successor) == sys.getsizeof(frozenset(dict.fromkeys(successor)))
     # Outcomes without a payload are one shared immutable value per kind.
     ne_line = BUILTIN_CONFIGS["fig5b-diagonal"].robots
-    assert settle(SE_LINE, dict.fromkeys(SE_LINE)) is settle(ne_line, dict.fromkeys(ne_line))
+    assert settle(SE_LINE, (None,) * 7) is settle(ne_line, (None,) * 7)
     capped = (run(cfg, decide_move, 2, max_steps=1).outcome for cfg in (SE_LINE, ne_line))
     assert next(capped) is next(capped)
 
@@ -347,6 +371,6 @@ def test_equal_collisions_and_moved_onto_nodes_are_shared():
     )
     assert first is second
     # Robots moving onto one coordinate from two configurations land on one tuple.
-    (west,) = settle(frozenset({(3, 0)}), {(3, 0): W})
-    (east,) = settle(frozenset({(1, 0)}), {(1, 0): E})
+    (west,) = settle(frozenset({(3, 0)}), (W,))
+    (east,) = settle(frozenset({(1, 0)}), (E,))
     assert west == east == (2, 0) and west is east

@@ -8,7 +8,7 @@ import pytest
 
 from oracles import base_of, chain_moves, screen_all_pairs
 from trigather import engine, gather2
-from trigather.config import enumerate_connected, gathered_hexagon
+from trigather.config import enumerate_connected
 from trigather.engine import View, observe
 from trigather.gather2 import (
     ALGORITHM_ID,
@@ -80,24 +80,12 @@ def test_decide_pair_exception_moves_east():
     assert decide_move(view((1, 1), (1, -1))) is Direction.E
 
 
-def test_decide_gathered_center_stays():
-    assert decide_move(view(*RANGE1_LABELS)) is None
-
-
 def test_decide_west_rim_stays():
     assert decide_move(view((2, 0), (1, 1), (1, -1), (4, 0), (3, 1), (3, -1))) is None
 
 
 def test_decide_standstill_case_moves_northwest():
     assert decide_move(view((3, 1), (1, 1), (2, 0), (1, -1))) is Direction.NW
-
-
-def test_gathered_hexagon_is_quiescent():
-    hexa = gathered_hexagon()
-    for robot in hexa:
-        assert decide_move(observe(hexa, robot, 2)) is None
-    decisions = engine.compute_decisions(hexa, decide_move, 2)
-    assert engine.settle(hexa, decisions) == engine.Outcome(engine.OutcomeKind.GATHERED)
 
 
 def test_requires_range2():

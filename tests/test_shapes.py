@@ -57,7 +57,7 @@ def test_step_equals_settle_on_random_moves(graphs, n):
         for _ in range(8):
             # mostly stays, so that successors are often connected
             moves = tuple(rng.choice(DIRECTIONS) if rng.random() < 0.3 else None for _ in cfg)
-            result = engine.settle(cfg, dict(zip(sorted(cfg), moves)))
+            result = engine.settle(cfg, moves)
             # step gives settle's successor when it is an enumerated shape, else None
             if isinstance(result, engine.Outcome):
                 expected = None
