@@ -60,11 +60,6 @@ class _Nodes(dict):
 _NODES = _Nodes()
 
 
-def node_of(key: int) -> TriCoord:
-    """The node a key packs."""
-    return _NODES[key]
-
-
 def unpack(keys: Iterable[int]) -> Configuration:
     """The configuration of a packed shape."""
     return frozenset(map(_NODES.__getitem__, keys))

@@ -25,7 +25,8 @@ call that runs a cycle to its end; on the gathered hexagon it returns the
 outcome ``gathered``, not the hexagon.  A cycle's moves are one tuple in
 sorted robot order, as ``TraceStep.decisions`` holds them.  Every run ends
 in :func:`record`, which turns a stream of cycles into a :class:`Trace`:
-:func:`run` feeds it simulated cycles, ``verify`` cycles read off a table.
+:func:`run` feeds it simulated cycles, ``verify`` the moves and next shapes
+a table gives.  Either way, :func:`settle` gives every successor.
 
 Equal immutable values that runs repeat are shared: each outcome with no
 payload, one :class:`Outcome` per distinct collision, and one node tuple

@@ -4,8 +4,9 @@ A shape is the sorted tuple of its robots' keys (see ``config.KEY_STRIDE``),
 smallest key 0, as :func:`config.enumerate_keys` lists them.  Robot i of a
 shape is its i-th smallest node, so per-robot lists here align with
 ``sorted()`` of the unpacked configuration and with ``TraceStep.decisions``.
-A step maps shapes to shapes: it leaves every cycle that reaches no
-enumerated shape to :func:`engine.settle`, and unpacks nothing.
+A step maps a shape's index to the index of the shape it reaches, with no
+translation, and unpacks nothing: coordinates, and every cycle that reaches
+no enumerated shape, are :func:`engine.settle`'s.
 """
 
 from __future__ import annotations
@@ -59,20 +60,20 @@ class ShapeGraph:
             masks.append(mask)
         return masks
 
-    def step(self, idx: int, moves: tuple[engine.Move, ...]) -> tuple[int, int, int] | None:
+    def step(self, idx: int, moves: tuple[engine.Move, ...]) -> int | None:
         """Move every robot of shape ``idx`` at once; ``moves`` is in robot order.
 
-        Returns ``(index, da, db)``, shape ``index`` translated by ``(da, db)``,
-        when some robot moves, all targets are distinct, no two robots swap and
-        the robots land on an enumerated shape, else ``None``: all-stay,
-        colliding and disconnecting cycles are left to :func:`engine.settle`.
+        Returns the index of the shape the robots land on, up to translation,
+        when some robot moves, all targets are distinct, no two robots swap
+        and that shape is enumerated, else ``None``: all-stay, colliding and
+        disconnecting cycles.  A count of moves other than one per robot raises
+        ``ValueError``, as :func:`engine.settle` does.
         """
         keys = self.keys[idx]
-        targets = [key + _DELTA[m] for key, m in zip(keys, moves)]
+        targets = [key + _DELTA[m] for key, m in zip(keys, moves, strict=True)]
         moved = {key: t for key, t in zip(keys, targets) if key != t}
         if not moved or any(moved.get(t) == key for key, t in moved.items()):
             return None
         # Two robots on one node leave a repeated key, which no shape has.
         low = min(targets)
-        nxt = self.index.get(tuple(sorted([t - low for t in targets])))
-        return None if nxt is None else (nxt, *configs.node_of(low))
+        return self.index.get(tuple(sorted([t - low for t in targets])))

@@ -6,7 +6,6 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 
-from . import config as configs
 from . import engine, gather2
 from .shapes import ShapeGraph
 
@@ -64,32 +63,28 @@ class VerificationSummary:
         return dict(Counter(r.outcome.token() for r in self.results))
 
 
-# A shape's moves, the tuple engine.settle takes, and ShapeGraph.step's successor.
-_Row = tuple[tuple[engine.Move, ...], tuple[int, int, int] | None]
+# A shape's moves, the tuple engine.settle takes, and the index of its next
+# shape, ShapeGraph.step's: None when the cycle reaches no enumerated shape.
+_Row = tuple[tuple[engine.Move, ...], int | None]
 # The outcome of a quiescent gathered shape, which every start reaching one ends on.
 _GATHERED = engine.Outcome(engine.OutcomeKind.GATHERED)
 
 
 def _cycles(graph: ShapeGraph, rows: list[_Row], at: int):
-    """The cycles of the run from shape ``at``, read off the table in its frame.
+    """The cycles of the run from shape ``at``: each row's moves, settled in turn.
 
-    The last, which reaches no enumerated shape, is settled on its row's moves.
+    A step is connected exactly when its row names a next shape;
+    :func:`engine.record` draws no cycle after a disconnected one.
     """
     cfg = graph.shape(at)
-    oa = ob = 0
     while True:
-        decisions, edge = rows[at]
-        if edge is None:
-            result = engine.settle(cfg, decisions)
-            if isinstance(result, engine.Outcome):
-                yield result
-            else:  # collision-free, yet no enumerated shape: disconnected
-                yield engine.TraceStep(decisions, result, False)
+        moves, at = rows[at]
+        result = engine.settle(cfg, moves)
+        if isinstance(result, engine.Outcome):
+            yield result
             return
-        at, da, db = edge
-        oa, ob = oa + da, ob + db
-        cfg = configs.translate(graph.shape(at), (oa, ob))
-        yield engine.TraceStep(decisions, cfg, True)
+        yield engine.TraceStep(moves, result, at is not None)
+        cfg = result
 
 
 def verify_sweep(
@@ -107,12 +102,13 @@ def verify_sweep(
     ``{mask: move}`` table is the only decision memo in the program; the
     decision functions themselves cache nothing.
     A shape's row holds its moves, the tuple :meth:`ShapeGraph.step` and
-    :func:`engine.settle` both take.  A step that reaches no enumerated
-    shape is settled, once per shape, to find the quiescent gathered shapes:
-    steps-to-gather is a shape's depth below one.  Every other start fails:
-    its cycles are read off the table from that start, its last cycle is
-    settled again in the start's frame, and :func:`engine.record`, which
-    ends every run of ``engine.run`` too, decides where its trace ends.
+    :func:`engine.settle` both take, and the index of its next shape, which
+    ``step`` returns.  A step that reaches no enumerated shape is settled,
+    once per shape, to find the quiescent gathered shapes: steps-to-gather
+    is a shape's depth below one.  Every other start fails: the table gives
+    each of its cycles' moves and next shape, :func:`engine.settle` gives
+    every successor from that start, and :func:`engine.record`, which ends
+    every run of ``engine.run`` too, decides where its trace ends.
     :func:`engine.run` stays the reference for the cycles: the differential
     tests compare every result and trace line against one run per start.
     Results are in canonical enumeration order.
@@ -134,12 +130,12 @@ def verify_sweep(
                 moves[mask] = decide(engine.view_of(mask, visibility))
         decisions = tuple([moves[mask] for mask in masks])
         decisions = distinct.setdefault(decisions, decisions)
-        edge = graph.step(idx, decisions)
-        if edge is not None:
-            predecessors[edge[0]].append(idx)
+        nxt = graph.step(idx, decisions)
+        if nxt is not None:
+            predecessors[nxt].append(idx)
         elif engine.settle(graph.shape(idx), decisions) == _GATHERED:
             queue.append(idx)
-        rows.append((decisions, edge))
+        rows.append((decisions, nxt))
 
     # Breadth-first over reverse edges.  Each shape has one successor, so
     # each is reached at most once, and cycles are never reached.

@@ -18,7 +18,6 @@ from trigather.config import (
     is_gathered,
     key_of,
     make_configuration,
-    node_of,
     translate,
     unpack,
 )
@@ -106,11 +105,11 @@ def test_keys_pack_nodes_in_order_within_the_enumeration_bound():
     span = range(-(MAX_ENUMERATION_SIZE + 1), MAX_ENUMERATION_SIZE + 2)
     nodes = [(a, b) for a in span for b in span]
     keys = [key_of(node) for node in nodes]
-    assert [node_of(k) for k in keys] == nodes
+    assert [unpack([k]) for k in keys] == [{node} for node in nodes]
     assert sorted(keys) == [k for _, k in sorted(zip(nodes, keys))]
     for u, ku in zip(nodes[::7], keys[::7]):
         for v, kv in zip(nodes, keys):
-            assert node_of(kv - ku) == (v[0] - u[0], v[1] - u[1])
+            assert unpack([kv - ku]) == {(v[0] - u[0], v[1] - u[1])}
 
 
 def test_enumerated_keys_are_canonical_and_unpack_to_shared_nodes():

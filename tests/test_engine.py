@@ -10,7 +10,7 @@ import pytest
 
 from rule_tables import E, NE, NW, SE, SW, W, mask_of, stay, table
 from trigather import engine
-from trigather.config import canonicalize, enumerate_connected, gathered_hexagon, translate
+from trigather.config import canonicalize, enumerate_connected, gathered_hexagon, key_of, translate
 from trigather.engine import (
     CollisionKind,
     CollisionReport,
@@ -27,6 +27,7 @@ from trigather.engine import (
 from trigather.gather2 import decide_move
 from trigather.grid import DIRECTIONS, Direction, distance, label_of, neighbor
 from trigather.range1 import BUILTIN_CONFIGS
+from trigather.shapes import ShapeGraph
 
 SE_LINE = frozenset((k, -k) for k in range(7))
 
@@ -339,11 +340,18 @@ def test_settle_reports_the_first_collision_in_sorted_robot_order(case):
     assert _engine_settle(cfg, moves) == _reference_settle(cfg, moves) == expected
 
 
-@pytest.mark.parametrize("call", [settle, engine.apply_decisions])
+def shape_step(cfg, moves):
+    """``ShapeGraph.step`` on the shape of ``cfg``, a canonical configuration."""
+    graph = ShapeGraph(len(cfg))
+    return graph.step(graph.index[tuple(sorted(map(key_of, cfg)))], moves)
+
+
+@pytest.mark.parametrize("call", [settle, engine.apply_decisions, shape_step])
 @pytest.mark.parametrize("moves", [(None,), (None, E, W, None)], ids=["short", "long"])
 def test_a_move_tuple_of_the_wrong_length_raises(call, moves):
     # settle checks the length before its all-stay shortcut, so a short
-    # all-stay tuple is refused too, and not by an assert that -O removes.
+    # all-stay tuple is refused too, and not by an assert that -O removes;
+    # step pairs keys with moves strictly, so it truncates neither tuple.
     with pytest.raises(ValueError):
         call(PAIR, moves)
 

@@ -46,7 +46,7 @@ def test_key_offsets_within_the_largest_shapes_index_the_mask_table(graphs):
     assert -_REACH <= min(offsets) and max(offsets) <= _REACH
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(1, 8))
 def test_step_equals_settle_on_random_moves(graphs, n):
     graph = graphs[n]
     index = {cfg: idx for idx, cfg in enumerate(enumerate_connected(n))}
@@ -58,13 +58,12 @@ def test_step_equals_settle_on_random_moves(graphs, n):
             # mostly stays, so that successors are often connected
             moves = tuple(rng.choice(DIRECTIONS) if rng.random() < 0.3 else None for _ in cfg)
             result = engine.settle(cfg, moves)
-            # step gives settle's successor when it is an enumerated shape, else None
+            # step gives the index of settle's successor if it is enumerated, else None
             if isinstance(result, engine.Outcome):
                 expected = None
                 kinds.add(result.token())
             else:
-                nxt = index.get(canonicalize(result))
-                expected = None if nxt is None else (nxt, *min(result))
+                expected = nxt = index.get(canonicalize(result))
                 kinds.add("disconnected" if nxt is None else "connected")
             assert graph.step(idx, moves) == expected
     if n >= 4:

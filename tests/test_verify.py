@@ -79,9 +79,15 @@ def test_sweep_decides_on_masks_alone(monkeypatch, algorithm):
     assert len(failure_traces) == 3652 - summary.gathered
 
 
-def test_sweep_keeps_no_view_alive(monkeypatch):
-    """Only ``observe`` interns views: the sweep's views die with their decisions."""
+@pytest.mark.parametrize("algorithm", sorted(verify.ALGORITHMS))
+def test_sweep_keeps_no_view_alive(monkeypatch, algorithm):
+    """Only ``observe`` interns views: the sweep's views die with their decisions.
+
+    The verbatim sweep's 1757 failure traces take their moves from the
+    table too, so no failing start is simulated through ``observe``.
+    """
     monkeypatch.setitem(engine._VIEWS, 2, {})
-    summary, _ = verify_sweep(7, "gather2-v1")
-    assert summary.gathered == 3652
+    summary, failure_traces = verify_sweep(7, algorithm)
+    expected = {"gather2-v1": (3652, 0), "gather2-verbatim": (1895, 1757)}
+    assert (summary.gathered, len(failure_traces)) == expected[algorithm]
     assert engine._VIEWS[2] == {}
